@@ -40,7 +40,6 @@ from .games import (
     game_to_text,
     solve,
     verify_strategy,
-    winner_from,
 )
 from .automata import (
     APTA,

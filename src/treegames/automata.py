@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -27,9 +26,10 @@ from .trees import (
     RegularTree,
     LetterRenaming,
     TreeError,
+    doc_field,
     same_symbols,
 )
-from .games import EVE, ADAM, ParityGame, Strategy, SolveResult, solve, verify_strategy
+from .games import EVE, ADAM, ParityGame, Strategy, explore, solve, verify_strategy
 
 
 class AutomatonError(ValueError):
@@ -147,29 +147,17 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
     """
     _check_tree_alphabet(a, t)
     table = transition_table(a)
-    positions, owner, priority, successors = [], {}, {}, {}
-    start = membership_start(a, t)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        pos = queue.popleft()
-        positions.append(pos)
+    # Locals keep the per-position callback as cheap as an inline loop.
+    rank, label, left, right = a.rank, t.label, t.left, t.right
+
+    def expand(pos):
         if pos[0] == "s":
             _, q, v = pos
-            owner[pos] = EVE
-            priority[pos] = a.rank[q]
-            succs = tuple(("t", tr, v) for tr in table.get((q, t.label[v]), ()))
-        else:
-            _, (q, _, l, r), v = pos
-            owner[pos] = ADAM
-            priority[pos] = a.rank[q]
-            succs = (("s", l, t.left[v]), ("s", r, t.right[v]))
-        successors[pos] = succs
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return ParityGame(tuple(positions), owner, priority, successors)
+            return EVE, rank[q], tuple(("t", tr, v) for tr in table.get((q, label[v]), ()))
+        _, (q, _, l, r), v = pos
+        return ADAM, rank[q], (("s", l, left[v]), ("s", r, right[v]))
+
+    return explore(membership_start(a, t), expand)
 
 
 @dataclass(frozen=True)
@@ -203,50 +191,27 @@ def member_witness(a: NPTA, t: RegularTree) -> RunWitness | None:
 def emptiness_game(a: NPTA) -> ParityGame:
     """Eve picks a letter and transition per state, Adam a direction; Eve
     wins somewhere exactly when the automaton accepts some tree."""
-    positions, owner, priority, successors = [], {}, {}, {}
     by_state = {}
     for t in a.transitions:
         by_state.setdefault(t[0], []).append(t)
-    start = ("s", a.initial)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        pos = queue.popleft()
-        positions.append(pos)
+
+    def expand(pos):
         if pos[0] == "s":
             q = pos[1]
-            owner[pos] = EVE
-            priority[pos] = a.rank[q]
-            succs = tuple(("t", tr) for tr in by_state.get(q, ()))
-        else:
-            q, _, l, r = pos[1]
-            owner[pos] = ADAM
-            priority[pos] = a.rank[q]
-            succs = (("s", l), ("s", r))
-        successors[pos] = succs
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return ParityGame(tuple(positions), owner, priority, successors)
+            return EVE, a.rank[q], tuple(("t", tr) for tr in by_state.get(q, ()))
+        q, _, l, r = pos[1]
+        return ADAM, a.rank[q], (("s", l), ("s", r))
+
+    return explore(("s", a.initial), expand)
 
 
 def strategy_tree(a: NPTA, choice: dict) -> RegularTree:
     """Tree read off a positional emptiness strategy: states become nodes,
-    the chosen transition gives label and children."""
+    the chosen transition gives label and children.  Choices at states the
+    tree never reaches are dropped."""
     label, left, right = {}, {}, {}
-    queue = deque([a.initial])
-    seen = {a.initial}
-    while queue:
-        q = queue.popleft()
-        _, (_, letter, l, r) = choice[("s", q)]
-        label[q] = letter
-        left[q] = l
-        right[q] = r
-        for nxt in (l, r):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    for (_, q), (_, (_, letter, l, r)) in choice.items():
+        label[q], left[q], right[q] = letter, l, r
     return RegularTree(a.alphabet, a.initial, label, left, right)
 
 
@@ -262,23 +227,35 @@ def witness(a: NPTA) -> RegularTree | None:
 # ---------------------------------------------------------------------------
 # Products.
 
-def _product_reach(alphabet, states_initial, expand):
-    """Generic reachable-state construction; expand(state) yields
-    (letter, left, right) triples."""
+def _product(a: NPTA, b: NPTA, initial: tuple, carry, rank) -> NPTA:
+    """Reachable part of the synchronized product of a and b from `initial`.
+    States are tuples (a-state, b-state, *extra): carry(s) gives the extra
+    components both children of s get, rank(s) the rank of s.  A state's
+    name joins its components with '&'."""
+    ta, tb = transition_table(a), transition_table(b)
+    order = [initial]
+    seen = {initial}
     transitions = []
-    order = []
-    queue = deque([states_initial])
-    seen = {states_initial}
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for letter, l, r in expand(s):
-            transitions.append((s, letter, l, r))
-            for nxt in (l, r):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return order, transitions
+    for s in order:
+        qa, qb = s[0], s[1]
+        extra = carry(s)
+        for letter in a.alphabet:
+            for _, _, la, ra in ta.get((qa, letter), ()):
+                for _, _, lb, rb in tb.get((qb, letter), ()):
+                    l, r = (la, lb) + extra, (ra, rb) + extra
+                    transitions.append((s, letter, l, r))
+                    for nxt in (l, r):
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            order.append(nxt)
+    name = {s: "&".join(map(str, s)) for s in order}
+    return NPTA(
+        a.alphabet,
+        tuple(name[s] for s in order),
+        name[initial],
+        tuple((name[q], letter, name[l], name[r]) for q, letter, l, r in transitions),
+        {name[s]: rank(s) for s in order},
+    )
 
 
 def intersection_product(a: NPTA, b: NPTA) -> NPTA:
@@ -288,60 +265,30 @@ def intersection_product(a: NPTA, b: NPTA) -> NPTA:
     UnsupportedProduct."""
     if not same_symbols(a.alphabet, b.alphabet):
         raise AutomatonError("alphabet mismatch")
-    ta, tb = transition_table(a), transition_table(b)
 
     if is_buchi(a) and is_buchi(b):
         # Phase 1 waits for an accepting a-state, phase 2 for an accepting
         # b-state; finishing phase 2 is the accepting event.
-        def expand(s):
+        def carry(s):
             qa, qb, phase = s
-            for letter in a.alphabet:
-                for _, _, la, ra in ta.get((qa, letter), ()):
-                    for _, _, lb, rb in tb.get((qb, letter), ()):
-                        if phase == 1:
-                            nxt = 2 if a.rank[qa] == 2 else 1
-                        else:
-                            nxt = 1 if b.rank[qb] == 2 else 2
-                        yield letter, (la, lb, nxt), (ra, rb, nxt)
+            if phase == 1:
+                return (2 if a.rank[qa] == 2 else 1,)
+            return (1 if b.rank[qb] == 2 else 2,)
 
-        initial = (a.initial, b.initial, 1)
-        order, transitions = _product_reach(a.alphabet, initial, expand)
-        name = {s: f"{s[0]}&{s[1]}&{s[2]}" for s in order}
-        rank = {name[s]: 2 if s[2] == 2 and b.rank[s[1]] == 2 else 1 for s in order}
-        return NPTA(
-            a.alphabet,
-            tuple(name[s] for s in order),
-            name[initial],
-            tuple((name[q], letter, name[l], name[r]) for q, letter, l, r in transitions),
-            rank,
-        )
+        def rank(s):
+            return 2 if s[2] == 2 and b.rank[s[1]] == 2 else 1
+
+        return _product(a, b, (a.initial, b.initial, 1), carry, rank)
 
     if is_deterministic(a) and index_of(a) == Index(0, 1) and is_buchi(b):
         # Branches must see a-rank 1 finitely often and b-rank 2 infinitely
         # often; priority 3 flags the former, 2 rewards the latter.
-        def expand(s):
-            qa, qb = s
-            for letter in a.alphabet:
-                for _, _, la, ra in ta.get((qa, letter), ()):
-                    for _, _, lb, rb in tb.get((qb, letter), ()):
-                        yield letter, (la, lb), (ra, rb)
-
-        initial = (a.initial, b.initial)
-        order, transitions = _product_reach(a.alphabet, initial, expand)
-        name = {s: f"{s[0]}&{s[1]}" for s in order}
-
         def prio(s):
             if a.rank[s[0]] == 1:
                 return 3
             return 2 if b.rank[s[1]] == 2 else 1
 
-        return NPTA(
-            a.alphabet,
-            tuple(name[s] for s in order),
-            name[initial],
-            tuple((name[q], letter, name[l], name[r]) for q, letter, l, r in transitions),
-            {name[s]: prio(s) for s in order},
-        )
+        return _product(a, b, (a.initial, b.initial), lambda s: (), prio)
 
     raise UnsupportedProduct(
         f"no product for indices {index_of(a)} x {index_of(b)}"
@@ -450,41 +397,23 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
     Eve, so they are winning and losing sinks for Eve.  Every position
     carries the rank of its governing state."""
     _check_tree_alphabet(a, t)
-    positions, owner, priority, successors = [], {}, {}, {}
-    start = ("s", a.initial, t.root)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        pos = queue.popleft()
-        positions.append(pos)
+
+    def expand(pos):
         q, v = pos[1], pos[2]
-        priority[pos] = a.rank[q]
+        rank = a.rank[q]
         if pos[0] == "s":
-            owner[pos] = EVE
-            succs = (("f", q, v, a.delta[q, t.label[v]]),)
-        else:
-            f = pos[3]
-            if isinstance(f, TrueFormula):
-                owner[pos] = ADAM
-                succs = ()
-            elif isinstance(f, FalseFormula):
-                owner[pos] = EVE
-                succs = ()
-            elif isinstance(f, Atom):
-                owner[pos] = EVE
-                succs = (("s", f.state, t.step(v, f.direction)),)
-            elif isinstance(f, Or):
-                owner[pos] = EVE
-                succs = tuple(("f", q, v, part) for part in f.parts)
-            else:
-                owner[pos] = ADAM
-                succs = tuple(("f", q, v, part) for part in f.parts)
-        successors[pos] = succs
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return ParityGame(tuple(positions), owner, priority, successors)
+            return EVE, rank, (("f", q, v, a.delta[q, t.label[v]]),)
+        f = pos[3]
+        if isinstance(f, TrueFormula):
+            return ADAM, rank, ()
+        if isinstance(f, FalseFormula):
+            return EVE, rank, ()
+        if isinstance(f, Atom):
+            return EVE, rank, (("s", f.state, t.step(v, f.direction)),)
+        owner = EVE if isinstance(f, Or) else ADAM
+        return owner, rank, tuple(("f", q, v, part) for part in f.parts)
+
+    return explore(("s", a.initial, t.root), expand)
 
 
 def member_alt(a: APTA, t: RegularTree) -> bool:
@@ -496,15 +425,23 @@ def npta_to_apta(a: NPTA) -> APTA:
     """Alternation-free embedding: each transition set becomes a disjunction
     of And(Atom('1', left), Atom('2', right))."""
     table = transition_table(a)
-    delta = {}
-    for q in a.states:
-        for letter in a.alphabet:
-            choices = [
-                And((Atom("1", l), Atom("2", r)))
-                for _, _, l, r in table.get((q, letter), ())
-            ]
-            delta[q, letter] = Or(tuple(choices)) if choices else FALSE
+    delta = {
+        (q, letter): transition_formula(table, q, letter, lambda p, d: Atom(d, p))
+        for q in a.states
+        for letter in a.alphabet
+    }
     return APTA(a.alphabet, a.states, a.initial, delta, dict(a.rank))
+
+
+def transition_formula(table: dict, q: str, letter: str, move) -> Formula:
+    """The (q, letter) transitions of a transition_table as a formula: the
+    disjunction over (q, letter, l, r) of And(move(l, '1'), move(r, '2')),
+    FALSE when there is none."""
+    choices = [
+        And((move(l, "1"), move(r, "2")))
+        for _, _, l, r in table.get((q, letter), ())
+    ]
+    return Or(tuple(choices)) if choices else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -641,31 +578,22 @@ def automaton_to_json(a: NPTA) -> dict:
     }
 
 
-def _doc_field(doc, key, kinds, what):
-    if not isinstance(doc, dict) or key not in doc:
-        raise AutomatonError(f"{what}: missing field {key!r}")
-    value = doc[key]
-    if kinds is not None and not isinstance(value, kinds):
-        raise AutomatonError(f"{what}: field {key!r} has the wrong type")
-    return value
-
-
 def automaton_from_json(doc: dict) -> NPTA:
     try:
-        alphabet = Alphabet(tuple(_doc_field(doc, "alphabet", list, "automaton")))
+        alphabet = Alphabet(tuple(doc_field(doc, "alphabet", list, "automaton", AutomatonError)))
     except TreeError as exc:
         raise AutomatonError(str(exc)) from None
-    states = tuple(_doc_field(doc, "states", list, "automaton"))
-    initial = _doc_field(doc, "initial", str, "automaton")
+    states = tuple(doc_field(doc, "states", list, "automaton", AutomatonError))
+    initial = doc_field(doc, "initial", str, "automaton", AutomatonError)
     transitions = []
-    for entry in _doc_field(doc, "transitions", list, "automaton"):
+    for entry in doc_field(doc, "transitions", list, "automaton", AutomatonError):
         transitions.append((
-            _doc_field(entry, "from", str, "transition"),
-            _doc_field(entry, "letter", str, "transition"),
-            _doc_field(entry, "left", str, "transition"),
-            _doc_field(entry, "right", str, "transition"),
+            doc_field(entry, "from", str, "transition", AutomatonError),
+            doc_field(entry, "letter", str, "transition", AutomatonError),
+            doc_field(entry, "left", str, "transition", AutomatonError),
+            doc_field(entry, "right", str, "transition", AutomatonError),
         ))
-    ranks = _doc_field(doc, "ranks", dict, "automaton")
+    ranks = doc_field(doc, "ranks", dict, "automaton", AutomatonError)
     return NPTA(alphabet, states, initial, tuple(transitions), dict(ranks))
 
 
@@ -681,16 +609,17 @@ def formula_to_json(f: Formula):
 
 
 def formula_from_json(doc) -> Formula:
-    op = _doc_field(doc, "op", str, "formula")
+    op = doc_field(doc, "op", str, "formula", AutomatonError)
     if op == "true":
         return TRUE
     if op == "false":
         return FALSE
     if op == "atom":
-        return Atom(_doc_field(doc, "direction", str, "formula"),
-                    _doc_field(doc, "state", str, "formula"))
+        return Atom(doc_field(doc, "direction", str, "formula", AutomatonError),
+                    doc_field(doc, "state", str, "formula", AutomatonError))
     if op in ("and", "or"):
-        parts = tuple(formula_from_json(p) for p in _doc_field(doc, "parts", list, "formula"))
+        entries = doc_field(doc, "parts", list, "formula", AutomatonError)
+        parts = tuple(formula_from_json(p) for p in entries)
         return And(parts) if op == "and" else Or(parts)
     raise AutomatonError(f"formula: unknown op {op!r}")
 
@@ -711,19 +640,20 @@ def apta_to_json(a: APTA) -> dict:
 
 def apta_from_json(doc: dict) -> APTA:
     try:
-        alphabet = Alphabet(tuple(_doc_field(doc, "alphabet", list, "automaton")))
+        alphabet = Alphabet(tuple(doc_field(doc, "alphabet", list, "automaton", AutomatonError)))
     except TreeError as exc:
         raise AutomatonError(str(exc)) from None
-    states = tuple(_doc_field(doc, "states", list, "automaton"))
-    initial = _doc_field(doc, "initial", str, "automaton")
+    states = tuple(doc_field(doc, "states", list, "automaton", AutomatonError))
+    initial = doc_field(doc, "initial", str, "automaton", AutomatonError)
     delta = {}
-    for entry in _doc_field(doc, "delta", list, "automaton"):
-        key = (_doc_field(entry, "state", str, "delta entry"),
-               _doc_field(entry, "letter", str, "delta entry"))
+    for entry in doc_field(doc, "delta", list, "automaton", AutomatonError):
+        key = (doc_field(entry, "state", str, "delta entry", AutomatonError),
+               doc_field(entry, "letter", str, "delta entry", AutomatonError))
         if key in delta:
             raise AutomatonError(f"delta entry {key!r} duplicated")
-        delta[key] = formula_from_json(_doc_field(entry, "formula", dict, "delta entry"))
-    ranks = _doc_field(doc, "ranks", dict, "automaton")
+        formula = doc_field(entry, "formula", dict, "delta entry", AutomatonError)
+        delta[key] = formula_from_json(formula)
+    ranks = doc_field(doc, "ranks", dict, "automaton", AutomatonError)
     return APTA(alphabet, states, initial, delta, dict(ranks))
 
 

@@ -71,6 +71,23 @@ class ParityGame:
         object.__setattr__(self, "priority", {v: self.priority[v] for v in self.positions})
 
 
+def explore(start, expand) -> ParityGame:
+    """Game reachable from `start`, positions in breadth-first discovery order.
+
+    expand(pos) returns (owner, priority, successors)."""
+    positions = [start]
+    seen = {start}
+    owner, priority, successors = {}, {}, {}
+    for pos in positions:
+        owner[pos], priority[pos], succs = expand(pos)
+        successors[pos] = succs
+        for nxt in succs:
+            if nxt not in seen:
+                seen.add(nxt)
+                positions.append(nxt)
+    return ParityGame(tuple(positions), owner, priority, successors)
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Positional strategy: a chosen successor for each of the player's
@@ -185,14 +202,6 @@ def solve(g: ParityGame) -> SolveResult:
     eve_region, eve_strategy = back(EVE)
     adam_region, adam_strategy = back(ADAM)
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
-
-
-def winner_from(g: ParityGame, position) -> int:
-    """EVE or ADAM, for the player winning from the given position."""
-    if position not in g.priority:
-        raise GameError(f"unknown position {position!r}")
-    res = solve(g)
-    return EVE if position in res.eve_region else ADAM
 
 
 def brute_force_solve(g: ParityGame, bound: int = 10 ** 6) -> SolveResult:
@@ -443,7 +452,7 @@ def game_from_text(text: str) -> ParityGame:
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:
     """DOT rendering; Eve positions are ellipses, Adam positions boxes, and
     winning regions are colored when a solve result is supplied."""
-    relabeled, index = relabel_positions(g)
+    index = {v: i for i, v in enumerate(g.positions)}
     lines = ["digraph parity {"]
     for v in g.positions:
         i = index[v]

@@ -1,13 +1,16 @@
 """Separator synthesis for disjoint Büchi tree languages.
 
 The separator for T(a) versus T(b) is an alternating co-Büchi-shaped
-automaton built as a finite hierarchy over a's state set.  Level 0 accepts
-the trees admitting any a-run at all (a pure safety check, every rank 0).
-Level n+1 re-runs a with its Büchi ranks, but whenever a branch passes
-through an accepting (rank 2) state, it additionally launches the level-n
-check on the subtree there.  Each level squeezes the accepted set closer to
-T(a); the level to synthesize at is 2^(|a| * |b|) + 1 by default, which is
-far more than the shipped examples need.
+automaton built as a finite hierarchy over a's state set.  All levels
+0..N live in one APTA with states q@k, the state q of a running level k.
+Level 0 accepts the trees admitting any a-run at all (a pure safety check,
+every q@0 ranked 0).  Level n+1 re-runs a with its Büchi ranks, but
+whenever a branch passes through an accepting (rank 2) state p, it
+additionally launches p@n, the level-n check on the subtree there.  Each
+level squeezes the accepted set closer to T(a); level k is the APTA
+started at q0@k for a's initial state q0, and the level to synthesize at
+is 2^(|a| * |b|) + 1 by default, which is far more than the shipped
+examples need.
 
 T(a) always sits inside every level, so verification is sample-based on the
 b side: draw members of both languages and check the separator accepts the
@@ -25,13 +28,14 @@ from .automata import (
     NPTA,
     And,
     Atom,
-    FALSE,
-    Or,
     emptiness_game,
     intersection_product,
     is_buchi,
     member_alt,
     strategy_tree,
+    transition_formula,
+    transition_table,
+    with_initial,
     witness,
 )
 
@@ -63,78 +67,49 @@ def _require_buchi(a: NPTA):
         raise ValueError("automaton is not Büchi (ranks must lie in {1, 2})")
 
 
-def hierarchy_level_zero(a: NPTA) -> APTA:
-    """Level 0: some run of `a` exists.  All ranks 0, so any infinite play
-    is fine and only missing transitions reject."""
-    table = {}
-    for t in a.transitions:
-        table.setdefault((t[0], t[1]), []).append(t)
-    states = tuple(level_state(q, 0) for q in a.states)
-    delta = {}
-    for q in a.states:
-        for letter in a.alphabet:
-            choices = [
-                And((Atom("1", level_state(l, 0)), Atom("2", level_state(r, 0))))
-                for _, _, l, r in table.get((q, letter), ())
-            ]
-            delta[level_state(q, 0), letter] = Or(tuple(choices)) if choices else FALSE
-    return APTA(a.alphabet, states, level_state(a.initial, 0), delta,
-                {s: 0 for s in states})
-
-
-def hierarchy_level_succ(a: NPTA, prev: APTA, n: int) -> APTA:
-    """Level n+1 on top of level n: a Büchi main copy of `a` that launches
-    the previous level at every accepting child it sends a branch through."""
-    _require_buchi(a)
-    table = {}
-    for t in a.transitions:
-        table.setdefault((t[0], t[1]), []).append(t)
-
-    def step(p: str, direction: str):
-        atom = Atom(direction, level_state(p, n + 1))
-        if a.rank[p] == 1:
-            return atom
-        return And((atom, Atom(direction, level_state(p, n))))
-
-    new_states = tuple(level_state(q, n + 1) for q in a.states)
-    delta = dict(prev.delta)
-    for q in a.states:
-        for letter in a.alphabet:
-            choices = [
-                And((step(l, "1"), step(r, "2")))
-                for _, _, l, r in table.get((q, letter), ())
-            ]
-            delta[level_state(q, n + 1), letter] = Or(tuple(choices)) if choices else FALSE
-    rank = dict(prev.rank)
-    rank.update({level_state(q, n + 1): a.rank[q] for q in a.states})
-    return APTA(a.alphabet, prev.states + new_states,
-                level_state(a.initial, n + 1), delta, rank)
+def _level_move(a: NPTA, p: str, direction: str, n: int):
+    # Level n sends p@n; above level 0, an accepting p also launches the
+    # level n-1 check on the subtree there.
+    atom = Atom(direction, level_state(p, n))
+    if n == 0 or a.rank[p] == 1:
+        return atom
+    return And((atom, Atom(direction, level_state(p, n - 1))))
 
 
 @dataclass(frozen=True)
 class SeparatorHierarchy:
-    """All levels 0..n of the construction for one base automaton; each
-    level is a standalone APTA started at the base's initial state."""
+    """Levels 0..n of the construction for one base automaton, as one APTA
+    whose states q@k run level k and whose initial state is the base's
+    initial state on level n."""
 
     base: NPTA
-    levels: tuple[APTA, ...]
+    top: APTA
 
     def level(self, n: int) -> APTA:
-        return self.levels[n]
-
-    @property
-    def top(self) -> APTA:
-        return self.levels[-1]
+        """Level n: the single APTA started at the base's initial state on
+        level n, from where only levels 0..n are reachable."""
+        up_to = len(self.top.states) // len(self.base.states) - 1
+        if not 0 <= n <= up_to:
+            raise ValueError(f"level {n} outside 0..{up_to}")
+        return with_initial(self.top, level_state(self.base.initial, n))
 
 
 def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
     _require_buchi(a)
     if up_to < 0:
         raise ValueError("level must be nonnegative")
-    levels = [hierarchy_level_zero(a)]
-    for n in range(up_to):
-        levels.append(hierarchy_level_succ(a, levels[-1], n))
-    return SeparatorHierarchy(a, tuple(levels))
+    table = transition_table(a)
+    states, delta, rank = [], {}, {}
+    for n in range(up_to + 1):
+        for q in a.states:
+            s = level_state(q, n)
+            states.append(s)
+            rank[s] = a.rank[q] if n else 0
+            for letter in a.alphabet:
+                delta[s, letter] = transition_formula(
+                    table, q, letter, lambda p, d: _level_move(a, p, d, n))
+    top = APTA(a.alphabet, tuple(states), level_state(a.initial, up_to), delta, rank)
+    return SeparatorHierarchy(a, top)
 
 
 def disjointness_witness(a: NPTA, b: NPTA) -> RegularTree | None:

@@ -307,28 +307,30 @@ def tree_to_json(t: RegularTree) -> dict:
     }
 
 
-def _require(doc, key, kinds, what):
+def doc_field(doc, key, kinds, what, error):
+    """doc[key] after checking that doc is an object holding the key with a
+    value of the given type(s); raises `error` otherwise."""
     if not isinstance(doc, dict) or key not in doc:
-        raise TreeError(f"{what}: missing field {key!r}")
+        raise error(f"{what}: missing field {key!r}")
     value = doc[key]
     if kinds is not None and not isinstance(value, kinds):
-        raise TreeError(f"{what}: field {key!r} has the wrong type")
+        raise error(f"{what}: field {key!r} has the wrong type")
     return value
 
 
 def tree_from_json(doc: dict) -> RegularTree:
-    symbols = _require(doc, "alphabet", list, "tree document")
+    symbols = doc_field(doc, "alphabet", list, "tree document", TreeError)
     alphabet = Alphabet(tuple(symbols))
-    root = _require(doc, "root", (str, int), "tree document")
-    entries = _require(doc, "nodes", list, "tree document")
+    root = doc_field(doc, "root", (str, int), "tree document", TreeError)
+    entries = doc_field(doc, "nodes", list, "tree document", TreeError)
     label, left, right = {}, {}, {}
     for entry in entries:
-        v = _require(entry, "id", (str, int), "tree node")
+        v = doc_field(entry, "id", (str, int), "tree node", TreeError)
         if v in label:
             raise TreeError(f"duplicate node id {v!r}")
-        label[v] = _require(entry, "label", str, "tree node")
-        left[v] = _require(entry, "left", (str, int), "tree node")
-        right[v] = _require(entry, "right", (str, int), "tree node")
+        label[v] = doc_field(entry, "label", str, "tree node", TreeError)
+        left[v] = doc_field(entry, "left", (str, int), "tree node", TreeError)
+        right[v] = doc_field(entry, "right", (str, int), "tree node", TreeError)
     return RegularTree(alphabet, root, label, left, right)
 
 

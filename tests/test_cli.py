@@ -282,6 +282,28 @@ def test_builtin_golden_files(capsys):
         assert out == want, f"golden drift for {name}"
 
 
+def test_separate_and_empty_golden_files(tmp_path, capsys):
+    # Pins the whole separator document, the sampled report and the
+    # emptiness witness, none of which other tests compare exactly.
+    from treegames.separation import example_pairs
+
+    pair = next(p for p in example_pairs() if p.name == "leftmost0-vs-leftmost1")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dump_automaton(pair.a, a)
+    dump_automaton(pair.b, b)
+    cases = [
+        ("separate_leftmost0-vs-leftmost1_level2.json",
+         ["separate", str(a), str(b), "--level", "2", "--samples", "5"]),
+        ("empty_UBbin.json", ["empty", "--automaton", "UBbin"]),
+    ]
+    for golden, argv in cases:
+        with open(os.path.join(GOLDEN, golden)) as fh:
+            want = fh.read()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want, f"golden drift for {golden}"
+
+
 def test_distance_command(tmp_path, capsys):
     e0 = write_tree(tmp_path, "e0.json", ALL_EXISTS_ZERO)
     a1 = write_tree(tmp_path, "a1.json", ALL_FORALL_ONE)

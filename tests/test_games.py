@@ -19,7 +19,6 @@ from treegames.games import (
     has_cycle_with_max_parity,
     solve,
     verify_strategy,
-    winner_from,
 )
 
 from helpers import odd_dominated_cycle, random_game
@@ -34,7 +33,6 @@ def test_single_even_loop_is_eve_won():
     res = solve(g)
     assert res.eve_region == frozenset({0})
     assert res.adam_region == frozenset()
-    assert winner_from(g, 0) == EVE
 
 
 def test_single_odd_loop_is_adam_won():

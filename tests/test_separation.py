@@ -20,7 +20,6 @@ from treegames.separation import (
     check_disjoint_buchi,
     disjointness_witness,
     example_pairs,
-    hierarchy_level_zero,
     report_to_json,
     sample_language,
     separator_level_bound,
@@ -42,14 +41,14 @@ def test_level_bound_arithmetic():
 
 
 def test_level_zero_checks_run_existence_only():
-    level0 = hierarchy_level_zero(singleton("0"))
+    level0 = build_hierarchy(singleton("0"), 0).level(0)
     assert member_alt(level0, constant_tree(BINARY, "0"))
     assert not member_alt(level0, constant_tree(BINARY, "1"))
     empty = NPTA(BINARY, ("q",), "q", (), {"q": 2})
-    assert not member_alt(hierarchy_level_zero(empty), constant_tree(BINARY, "0"))
+    assert not member_alt(build_hierarchy(empty, 0).level(0), constant_tree(BINARY, "0"))
     # Rank structure is irrelevant at level 0: L runs exist on all-0 even
     # though acceptance fails there.
-    assert member_alt(hierarchy_level_zero(builtin("L")), constant_tree(BINARY, "0"))
+    assert member_alt(build_hierarchy(builtin("L"), 0).level(0), constant_tree(BINARY, "0"))
 
 
 def test_hierarchy_levels_contain_the_language():
@@ -68,6 +67,13 @@ def test_hierarchy_levels_shrink():
         verdicts = [member_alt(hierarchy.level(n), t) for n in range(4)]
         for n in range(3):
             assert verdicts[n + 1] <= verdicts[n], (t, verdicts)
+
+
+def test_hierarchy_level_outside_the_built_range_is_refused():
+    hierarchy = build_hierarchy(builtin("L"), 3)
+    for n in (-1, 4):
+        with pytest.raises(ValueError):
+            hierarchy.level(n)
 
 
 def test_hierarchy_wants_buchi_ranks():
