@@ -5,9 +5,11 @@ when the highest priority occurring infinitely often is even.  A play that
 reaches a dead end is lost by the dead end's owner.  Both players win
 positionally, so strategies are position-to-successor maps.
 
-solve() runs the classic attractor-based recursive algorithm; dead ends are
+solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
+positions bucketed by priority and its recursion kept on an explicit stack,
+so games with any number of distinct priorities solve; dead ends are
 handled by routing them to internal sink loops of the losing parity, which
-keeps the recursion on dead-end-free games.  brute_force_solve() is an
+keeps the algorithm on dead-end-free games.  brute_force_solve() is an
 independent oracle that enumerates all positional strategy pairs and decides
 each forced lasso directly; it is exponential and only meant to cross-check
 the solver on small games.
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 
 EVE = 0
@@ -109,58 +110,87 @@ def _attract(player, targets, region, owner, succ, pred):
     # Attractor of `targets` for `player` inside `region`.  Player-owned
     # positions pulled in record the successor they were attracted through;
     # processing order is fixed by position index, so the result is
-    # deterministic.
+    # deterministic.  `todo` grows while it is walked, a FIFO queue.
     attr = set(targets)
     strat = {}
-    todo = deque(sorted(targets))
+    todo = sorted(targets)
     counts = {}
-    while todo:
-        u = todo.popleft()
+    for u in todo:
         for v in pred[u]:
-            if v not in region or v in attr:
+            if v in attr or v not in region:
                 continue
             if owner[v] == player:
                 attr.add(v)
                 strat[v] = u
                 todo.append(v)
             else:
-                if v not in counts:
-                    counts[v] = sum(1 for w in succ[v] if w in region)
-                counts[v] -= 1
-                if counts[v] == 0:
+                # Edges from v into the region that do not lead into attr
+                # yet, each duplicate edge counted, as pred lists it too.
+                c = counts.get(v)
+                if c is None:
+                    c = len(succ[v])
+                    if not region.issuperset(succ[v]):
+                        c = sum(1 for w in succ[v] if w in region)
+                c -= 1
+                counts[v] = c
+                if not c:
                     attr.add(v)
                     todo.append(v)
     return attr, strat
 
 
-def _zielonka(region, owner, prio, succ, pred):
-    # Requires a dead-end-free game.  The second recursive call of the
-    # textbook formulation is unrolled into the while loop, so recursion
-    # depth is bounded by the number of distinct priorities.
-    win = (set(), set())
-    strat = ({}, {})
-    region = set(region)
-    while region:
-        d = max(prio[v] for v in region)
-        sigma = d % 2
-        opp = 1 - sigma
-        tops = {v for v in region if prio[v] == d}
-        a, astrat = _attract(sigma, tops, region, owner, succ, pred)
-        sub_win, sub_strat = _zielonka(region - a, owner, prio, succ, pred)
-        if not sub_win[opp]:
-            win[sigma].update(region)
-            strat[sigma].update(sub_strat[sigma])
-            strat[sigma].update(astrat)
-            for v in sorted(tops):
-                if owner[v] == sigma:
-                    strat[sigma][v] = next(u for u in succ[v] if u in region)
+def _zielonka(m, owner, prio, succ, pred):
+    # Zielonka's algorithm on positions 0..m-1 of a dead-end-free game.  The
+    # second recursive call of the textbook formulation is unrolled into a
+    # loop over the shrinking region.  For the first one, on the region
+    # minus the attractor of its top priority, the frame waits on `stack`
+    # while that subgame is solved, so depth is bounded by memory rather
+    # than by Python's recursion limit.
+    # Positions are bucketed by priority once; a frame's region only
+    # shrinks, so its top priority is found by walking `levels` down from
+    # where the frame last found it, and a subgame's starts one level lower.
+    bucket = {}
+    for v in range(m):
+        bucket.setdefault(prio[v], []).append(v)
+    levels = sorted(bucket, reverse=True)
+    stack = []
+    region, k = set(range(m)), 0
+    win, strat = (set(), set()), ({}, {})
+    while True:
+        # Open frames on subgames until one is empty.
+        while region:
+            while region.isdisjoint(bucket[levels[k]]):
+                k += 1
+            d = levels[k]
+            sigma = d % 2
+            tops = region.intersection(bucket[d])
+            a, astrat = _attract(sigma, tops, region, owner, succ, pred)
+            stack.append((region, k, win, strat, sigma, tops, astrat))
+            region, k = region - a, k + 1
+            win, strat = (set(), set()), ({}, {})
+        # Hand each solved frame's result to the frame below, until one of
+        # them still has a region left to solve.
+        while stack:
+            sub_win, sub_strat = win, strat
+            region, k, win, strat, sigma, tops, astrat = stack.pop()
+            opp = 1 - sigma
+            if not sub_win[opp]:
+                win[sigma].update(region)
+                strat[sigma].update(sub_strat[sigma])
+                strat[sigma].update(astrat)
+                for v in sorted(tops):
+                    if owner[v] == sigma:
+                        strat[sigma][v] = next(u for u in succ[v] if u in region)
+                continue
+            b, bstrat = _attract(opp, sub_win[opp], region, owner, succ, pred)
+            win[opp].update(b)
+            strat[opp].update(sub_strat[opp])
+            strat[opp].update(bstrat)
+            region -= b
+            if region:
+                break
+        else:
             return win, strat
-        b, bstrat = _attract(opp, sub_win[opp], region, owner, succ, pred)
-        win[opp].update(b)
-        strat[opp].update(sub_strat[opp])
-        strat[opp].update(bstrat)
-        region -= b
-    return win, strat
 
 
 def solve(g: ParityGame) -> SolveResult:
@@ -187,7 +217,7 @@ def solve(g: ParityGame) -> SolveResult:
         for j in succ[i]:
             pred[j].append(i)
 
-    win, strat = _zielonka(range(m), owner, prio, succ, pred)
+    win, strat = _zielonka(m, owner, prio, succ, pred)
     assert win[EVE].isdisjoint(win[ADAM]) and len(win[EVE]) + len(win[ADAM]) == m
 
     def back(player):

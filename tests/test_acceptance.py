@@ -55,7 +55,7 @@ from helpers import random_code, random_game
 
 
 def test_criterion_1_solver_matches_brute_force():
-    """Exhaustive tiny games plus random mid-size games: the recursive
+    """Exhaustive tiny games plus random mid-size games: the
     solver and the strategy-enumerating solver produce identical regions."""
     start = time.monotonic()
 

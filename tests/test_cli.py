@@ -57,6 +57,16 @@ def test_solve_single_position(tmp_path, capsys):
     assert doc["adam_region"] == []
 
 
+def test_solve_golden_file(capsys):
+    # A 40-position game with dead ends of both owners and priorities
+    # spread over 0..40; pins the regions and every strategy tie-break.
+    with open(os.path.join(GOLDEN, "solve_sparse40.json")) as fh:
+        want = fh.read()
+    code, out, _ = run(capsys, "solve", "--game", os.path.join(GOLDEN, "solve_sparse40.txt"))
+    assert code == 0
+    assert out == want
+
+
 def test_solve_reports_parse_error_line(tmp_path, capsys):
     game = tmp_path / "g.txt"
     game.write_text("parity 1;\n0 1 0 0\n")

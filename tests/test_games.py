@@ -1,6 +1,6 @@
 """Parity game solving.  The ground truth throughout is brute_force_solve,
 which enumerates positional strategies and evaluates forced lassos; the
-recursive solver must match it exactly."""
+solver must match it exactly."""
 
 import random
 
@@ -67,13 +67,16 @@ def test_adam_can_force_the_odd_loop():
 
 
 def test_solver_matches_brute_force_on_random_games():
-    rng = random.Random(404)
-    for trial in range(300):
-        g = random_game(rng, 6, 3, 3)
-        got = solve(g)
-        want = brute_force_solve(g)
-        assert got.eve_region == want.eve_region, (trial, g)
-        assert got.adam_region == want.adam_region, (trial, g)
+    # The second set spreads priorities over 0..40, so most subregions miss
+    # some of the priorities present in the whole game.
+    for seed, max_priority in ((404, 3), (409, 40)):
+        rng = random.Random(seed)
+        for trial in range(300):
+            g = random_game(rng, 6, max_priority, 3)
+            got = solve(g)
+            want = brute_force_solve(g)
+            assert got.eve_region == want.eve_region, (seed, trial, g)
+            assert got.adam_region == want.adam_region, (seed, trial, g)
 
 
 def test_brute_force_strategies_verify():
@@ -94,6 +97,19 @@ def test_solver_strategies_verify():
         ok = (verify_strategy(g, res.eve_strategy, res.eve_region, notes)
               and verify_strategy(g, res.adam_strategy, res.adam_region, notes))
         assert ok, (trial, g, notes)
+
+
+def test_solver_handles_one_priority_per_position_deep_chains():
+    # Peel chain: position i has priority i, owner (i+1) mod 2 and edges to
+    # i-1 and i.  Each of its 1,200 priorities is one level of Zielonka's
+    # algorithm, well past Python's default recursion limit.
+    n = 1200
+    g = game({i: (i + 1) % 2 for i in range(n)}, {i: i for i in range(n)},
+             {i: (i - 1, i) if i else (0,) for i in range(n)})
+    res = solve(g)
+    assert res.eve_region == frozenset(range(n))
+    assert verify_strategy(g, res.eve_strategy, res.eve_region)
+    assert verify_strategy(g, res.adam_strategy, res.adam_region)
 
 
 def test_verify_rejects_bad_strategies():
