@@ -16,7 +16,6 @@ State names are strings throughout, so automata serialize directly.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -27,6 +26,8 @@ from .trees import (
     LetterRenaming,
     TreeError,
     doc_field,
+    doc_text,
+    read_doc,
     same_symbols,
 )
 from .games import EVE, ADAM, ParityGame, Strategy, explore, solve, verify_strategy
@@ -540,6 +541,11 @@ _MIK = re.compile(r"Mik\((\d+),(\d+)\)")
 BUILTIN_NAMES = ("L", "M01", "K-det", "K-buchi", "W01", "W01-prime", "UBbin")
 
 
+def is_builtin_name(name: str) -> bool:
+    """Whether `builtin` knows the name: one of BUILTIN_NAMES or 'Mik(i,k)'."""
+    return name in BUILTIN_NAMES or _MIK.fullmatch(name) is not None
+
+
 def builtin(name: str) -> NPTA:
     """Builtin automaton by name; Mik takes its ranks as in 'Mik(1,3)'."""
     if name == "L":
@@ -578,13 +584,19 @@ def automaton_to_json(a: NPTA) -> dict:
     }
 
 
-def automaton_from_json(doc: dict) -> NPTA:
+def _header(doc) -> tuple:
+    """Alphabet, states and initial state of either automaton document."""
     try:
         alphabet = Alphabet(tuple(doc_field(doc, "alphabet", list, "automaton", AutomatonError)))
     except TreeError as exc:
         raise AutomatonError(str(exc)) from None
     states = tuple(doc_field(doc, "states", list, "automaton", AutomatonError))
     initial = doc_field(doc, "initial", str, "automaton", AutomatonError)
+    return alphabet, states, initial
+
+
+def automaton_from_json(doc: dict) -> NPTA:
+    alphabet, states, initial = _header(doc)
     transitions = []
     for entry in doc_field(doc, "transitions", list, "automaton", AutomatonError):
         transitions.append((
@@ -639,12 +651,7 @@ def apta_to_json(a: APTA) -> dict:
 
 
 def apta_from_json(doc: dict) -> APTA:
-    try:
-        alphabet = Alphabet(tuple(doc_field(doc, "alphabet", list, "automaton", AutomatonError)))
-    except TreeError as exc:
-        raise AutomatonError(str(exc)) from None
-    states = tuple(doc_field(doc, "states", list, "automaton", AutomatonError))
-    initial = doc_field(doc, "initial", str, "automaton", AutomatonError)
+    alphabet, states, initial = _header(doc)
     delta = {}
     for entry in doc_field(doc, "delta", list, "automaton", AutomatonError):
         key = (doc_field(entry, "state", str, "delta entry", AutomatonError),
@@ -660,17 +667,12 @@ def apta_from_json(doc: dict) -> APTA:
 def dump_automaton(a, path) -> None:
     doc = apta_to_json(a) if isinstance(a, APTA) else automaton_to_json(a)
     with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(doc_text(doc))
 
 
 def load_automaton(path):
     """Load an NPTA or APTA document, telling them apart by their fields."""
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise AutomatonError(f"not valid JSON: {exc}") from None
+    doc = read_doc(path, AutomatonError)
     if isinstance(doc, dict) and "delta" in doc:
         return apta_from_json(doc)
     return automaton_from_json(doc)

@@ -21,9 +21,10 @@ import json
 import sys
 
 from .trees import (
-    RegularTree,
     TreeError,
+    doc_text,
     load_tree,
+    read_doc,
     rename_tree,
     tree_distance,
     tree_to_json,
@@ -31,19 +32,19 @@ from .trees import (
 from .games import (
     ADAM,
     EVE,
-    GameError,
     game_from_text,
     game_to_dot,
     solve,
 )
 from .automata import (
-    APTA,
     BUILTIN_NAMES,
     DUALITY,
     NPTA,
+    AutomatonError,
     apta_to_json,
     automaton_to_json,
     builtin,
+    is_builtin_name,
     load_automaton,
     member,
     member_alt,
@@ -67,73 +68,40 @@ from .separation import (
 )
 
 
-def _emit(doc, out_path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(doc, out_path=None, artifact=None) -> None:
+    """Print doc; with out_path, also write artifact (default: doc) there."""
+    text = doc_text(doc)
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(text if artifact is None else doc_text(artifact))
 
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-class AutomatonRefError(ValueError):
-    pass
-
-
 def _load_npta(ref: str) -> NPTA:
     a = _load_any_automaton(ref)
     if not isinstance(a, NPTA):
-        raise AutomatonRefError(f"{ref} is an alternating automaton; "
-                                "a nondeterministic one is required")
+        raise AutomatonError(f"{ref} is an alternating automaton; "
+                             "a nondeterministic one is required")
     return a
-
-
-def _is_builtin_name(ref: str) -> bool:
-    import re
-
-    return ref in BUILTIN_NAMES or re.fullmatch(r"Mik\(\d+,\d+\)", ref) is not None
 
 
 def _load_any_automaton(ref: str):
     # Builtin names double as automaton arguments; anything else is a path.
-    if _is_builtin_name(ref):
+    if is_builtin_name(ref):
         return builtin(ref)
     return load_automaton(ref)
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise GameError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_tree_arg(path: str) -> RegularTree:
-    try:
-        return load_tree(path)
-    except OSError as exc:
-        raise TreeError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise TreeError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TreeError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 def cmd_solve(args) -> int:
-    g = game_from_text(_read_text(args.game))
+    with open(args.game) as fh:
+        g = game_from_text(fh.read())
     res = solve(g)
     doc = {
         "eve_region": sorted(res.eve_region),
@@ -150,7 +118,7 @@ def cmd_solve(args) -> int:
 
 def cmd_member(args) -> int:
     a = _load_npta(args.automaton)
-    t = _load_tree_arg(args.tree)
+    t = load_tree(args.tree)
     verdict = member(a, t)
     _emit({"member": verdict}, args.output)
     return 0 if verdict else 1
@@ -160,7 +128,7 @@ def cmd_member_alt(args) -> int:
     a = _load_any_automaton(args.automaton)
     if isinstance(a, NPTA):
         a = npta_to_apta(a)
-    t = _load_tree_arg(args.tree)
+    t = load_tree(args.tree)
     verdict = member_alt(a, t)
     _emit({"member": verdict}, args.output)
     return 0 if verdict else 1
@@ -176,7 +144,7 @@ def cmd_empty(args) -> int:
 
 
 def cmd_gtl(args) -> int:
-    t = _load_tree_arg(args.tree)
+    t = load_tree(args.tree)
     first = in_w01(t)
     second = in_w01_prime(t)
     _emit({"in_W01": first, "in_W01_prime": second}, args.output)
@@ -184,18 +152,13 @@ def cmd_gtl(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    code = code_from_json(_load_json(args.code))
-    t = _load_tree_arg(args.tree)
+    code = code_from_json(read_doc(args.code, TreeError))
+    t = load_tree(args.tree)
     image = reduce_borel(code, t)
     landed = "W01" if in_w01(image) else "W01_prime"
-    doc = {"landed_in": landed, "tree": tree_to_json(image)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        # The artifact is the tree document itself, ready for the other
-        # commands to load.
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(tree_to_json(image), indent=2, sort_keys=True) + "\n")
+    tree = tree_to_json(image)
+    # The artifact is the tree document alone, for other commands to load.
+    _emit({"landed_in": landed, "tree": tree}, args.output, tree)
     return 0
 
 
@@ -204,11 +167,8 @@ def cmd_separate(args) -> int:
     b = _load_npta(args.b)
     separator = synthesize_separator(a, b, level=args.level)
     report = verify_separation(separator, a, b, args.samples, args.seed)
-    doc = {"separator": apta_to_json(separator), "report": report_to_json(report)}
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(apta_to_json(separator), indent=2, sort_keys=True) + "\n")
+    artifact = apta_to_json(separator)
+    _emit({"separator": artifact, "report": report_to_json(report)}, args.output, artifact)
     return 0 if report.passed else 1
 
 
@@ -216,7 +176,7 @@ def cmd_dual(args) -> int:
     if (args.tree is None) == (args.automaton is None):
         raise TreeError("dual needs exactly one of --tree or --automaton")
     if args.tree is not None:
-        doc = tree_to_json(rename_tree(_load_tree_arg(args.tree), DUALITY))
+        doc = tree_to_json(rename_tree(load_tree(args.tree), DUALITY))
     else:
         doc = automaton_to_json(rename_automaton(_load_npta(args.automaton), DUALITY))
     _emit(doc, args.output)
@@ -247,15 +207,15 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    t1 = _load_tree_arg(args.t1)
-    t2 = _load_tree_arg(args.t2)
+    t1 = load_tree(args.t1)
+    t2 = load_tree(args.t2)
     d = tree_distance(t1, t2)
     _emit({"distance": str(d), "bisimilar": d == 0}, args.output)
     return 0
 
 
 def cmd_play(args) -> int:
-    t = _load_tree_arg(args.tree)
+    t = load_tree(args.tree)
     g = game_of_tree(t)
     res = solve(g)
     human = EVE if args.side == "eve" else ADAM
@@ -410,11 +370,8 @@ def main(argv=None) -> int:
         _emit({"error": "languages are not disjoint",
                "witness": tree_to_json(exc.tree)})
         return 3
-    except ValueError as exc:
-        # covers TreeError, GameError, AutomatonError and schema violations
-        _fail(str(exc))
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # unreadable files, TreeError, GameError, AutomatonError, bad schemas
         _fail(str(exc))
         return 2
 

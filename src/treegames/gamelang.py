@@ -25,12 +25,13 @@ from .trees import (
     TreeError,
     check_node_word,
     constant_tree,
+    doc_field,
     graft_spine,
     label_at,
     rename_tree,
     same_symbols,
 )
-from .games import EVE, ADAM, ParityGame, solve
+from .games import EVE, ADAM, ParityGame, explore, solve
 from .automata import BINARY, GAME_ALPHABET, DUALITY, builtin, member
 
 
@@ -51,6 +52,7 @@ class GameLabel(NamedTuple):
         return f"({self.owner},{self.bit})"
 
 
+_GAME_LABELS = {symbol: GameLabel.from_symbol(symbol) for symbol in GAME_ALPHABET}
 ALL_EXISTS_ZERO = constant_tree(GAME_ALPHABET, "(E,0)")
 ALL_FORALL_ONE = constant_tree(GAME_ALPHABET, "(A,1)")
 
@@ -63,13 +65,13 @@ def _require_game_alphabet(t: RegularTree):
 def game_of_tree(t: RegularTree) -> ParityGame:
     """The induced parity game on the tree's generator nodes."""
     _require_game_alphabet(t)
-    owner, priority, successors = {}, {}, {}
-    for v in t.nodes:
-        lab = GameLabel.from_symbol(t.label[v])
-        owner[v] = EVE if lab.owner == "E" else ADAM
-        priority[v] = lab.bit
-        successors[v] = (t.left[v], t.right[v])
-    return ParityGame(t.nodes, owner, priority, successors)
+    label, left, right = t.label, t.left, t.right
+
+    def expand(v):
+        lab = _GAME_LABELS[label[v]]
+        return (EVE if lab.owner == "E" else ADAM), lab.bit, (left[v], right[v])
+
+    return explore(t.root, expand)
 
 
 def in_w01(t: RegularTree) -> bool:
@@ -207,15 +209,15 @@ def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
     when every reachable cycle of the generator has an even maximum."""
     if i not in (0, 1) or k < i:
         raise TreeError("labels must run from i in {0,1} to k >= i")
-    allowed = {str(m) for m in range(i, k + 1)}
-    for v in t.nodes:
-        if t.label[v] not in allowed:
-            raise TreeError(f"label {t.label[v]!r} outside {sorted(allowed)}")
-    owner = {v: ADAM for v in t.nodes}
-    priority = {v: int(t.label[v]) for v in t.nodes}
-    successors = {v: (t.left[v], t.right[v]) for v in t.nodes}
-    game = ParityGame(t.nodes, owner, priority, successors)
-    return t.root in solve(game).eve_region
+    priority = {str(m): m for m in range(i, k + 1)}
+
+    def expand(v):
+        p = priority.get(t.label[v])
+        if p is None:
+            raise TreeError(f"label {t.label[v]!r} outside {sorted(priority)}")
+        return ADAM, p, (t.left[v], t.right[v])
+
+    return t.root in solve(explore(t.root, expand)).eve_region
 
 
 def in_rightmost_separator(t: RegularTree) -> bool:
@@ -246,22 +248,13 @@ def code_to_json(code: BorelCode) -> dict:
 
 
 def code_from_json(doc) -> BorelCode:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise TreeError("code document: missing field 'kind'")
-    kind = doc["kind"]
+    kind = doc_field(doc, "kind", None, "code document", TreeError)
     if kind == "cyl":
-        assign = doc.get("assign")
-        if not isinstance(assign, dict):
-            raise TreeError("cyl code: field 'assign' must be an object")
-        return Cyl(tuple(assign.items()))
+        return Cyl(tuple(doc_field(doc, "assign", dict, "cyl code", TreeError).items()))
     if kind == "neg":
-        if "of" not in doc:
-            raise TreeError("neg code: missing field 'of'")
-        return Neg(code_from_json(doc["of"]))
+        return Neg(code_from_json(doc_field(doc, "of", None, "neg code", TreeError)))
     if kind == "union":
-        head = doc.get("head")
-        if not isinstance(head, list):
-            raise TreeError("union code: field 'head' must be a list")
+        head = doc_field(doc, "head", list, "union code", TreeError)
         tail = doc.get("tail")
         return Union(tuple(code_from_json(c) for c in head),
                      None if tail is None else code_from_json(tail))

@@ -146,21 +146,29 @@ def constant_tree(alphabet: Alphabet, symbol: str) -> RegularTree:
     return RegularTree(alphabet, 0, {0: symbol}, {0: 0}, {0: 0})
 
 
-def bisimilar(t1: RegularTree, t2: RegularTree) -> bool:
-    """Whether two generators present the same tree."""
+def _first_disagreement(t1: RegularTree, t2: RegularTree) -> int | None:
+    """Length of the shortest node word where the labels differ, or None."""
     if not same_symbols(t1.alphabet, t2.alphabet):
         raise TreeError("alphabet mismatch")
-    seen = {(t1.root, t2.root)}
-    queue = deque(seen)
-    while queue:
-        a, b = queue.popleft()
-        if t1.label[a] != t2.label[b]:
-            return False
-        for pair in ((t1.left[a], t2.left[b]), (t1.right[a], t2.right[b])):
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    layer = [(t1.root, t2.root)]
+    seen = set(layer)
+    depth = 0
+    while layer:
+        following = []
+        for a, b in layer:
+            if t1.label[a] != t2.label[b]:
+                return depth
+            for pair in ((t1.left[a], t2.left[b]), (t1.right[a], t2.right[b])):
+                if pair not in seen:
+                    seen.add(pair)
+                    following.append(pair)
+        layer, depth = following, depth + 1
+    return None
+
+
+def bisimilar(t1: RegularTree, t2: RegularTree) -> bool:
+    """Whether two generators present the same tree."""
+    return _first_disagreement(t1, t2) is None
 
 
 def tree_distance(t1: RegularTree, t2: RegularTree, depth_cap: int | None = None) -> Fraction:
@@ -171,21 +179,12 @@ def tree_distance(t1: RegularTree, t2: RegularTree, depth_cap: int | None = None
     only surface at depth below the product size.  `depth_cap`, if given,
     bounds the reported n and raises if the first disagreement lies deeper.
     """
-    if not same_symbols(t1.alphabet, t2.alphabet):
-        raise TreeError("alphabet mismatch")
-    seen = {(t1.root, t2.root)}
-    layer = deque([(t1.root, t2.root, 0)])
-    while layer:
-        a, b, depth = layer.popleft()
-        if t1.label[a] != t2.label[b]:
-            if depth_cap is not None and depth > depth_cap:
-                raise TreeError(f"first disagreement at depth {depth} exceeds cap {depth_cap}")
-            return Fraction(1, 2 ** depth)
-        for pair in ((t1.left[a], t2.left[b]), (t1.right[a], t2.right[b])):
-            if pair not in seen:
-                seen.add(pair)
-                layer.append((pair[0], pair[1], depth + 1))
-    return Fraction(0)
+    depth = _first_disagreement(t1, t2)
+    if depth is None:
+        return Fraction(0)
+    if depth_cap is not None and depth > depth_cap:
+        raise TreeError(f"first disagreement at depth {depth} exceeds cap {depth_cap}")
+    return Fraction(1, 2 ** depth)
 
 
 @dataclass(frozen=True)
@@ -307,6 +306,21 @@ def tree_to_json(t: RegularTree) -> dict:
     }
 
 
+def read_doc(path, error):
+    """The JSON document in the file at `path`; raises `error` when the file
+    is not valid UTF-8 JSON.  A file that cannot be opened raises OSError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def doc_text(doc) -> str:
+    """The text every document file and command output is written in."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def doc_field(doc, key, kinds, what, error):
     """doc[key] after checking that doc is an object holding the key with a
     value of the given type(s); raises `error` otherwise."""
@@ -336,14 +350,8 @@ def tree_from_json(doc: dict) -> RegularTree:
 
 def dump_tree(t: RegularTree, path) -> None:
     with open(path, "w") as handle:
-        json.dump(tree_to_json(t), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(doc_text(tree_to_json(t)))
 
 
 def load_tree(path) -> RegularTree:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise TreeError(f"not valid JSON: {exc}") from None
-    return tree_from_json(doc)
+    return tree_from_json(read_doc(path, TreeError))

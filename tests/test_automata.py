@@ -421,7 +421,7 @@ def test_apta_json_round_trip():
     assert apta_from_json(apta_to_json(tricky)) == tricky
 
 
-def test_automaton_schema_errors():
+def test_automaton_schema_errors(tmp_path):
     good = automaton_to_json(builtin("M01"))
     for key in ("alphabet", "states", "initial", "transitions", "ranks"):
         doc = dict(good)
@@ -432,6 +432,17 @@ def test_automaton_schema_errors():
     doc["transitions"] = [{"from": "0", "letter": "0", "left": "0"}]
     with pytest.raises(AutomatonError):
         automaton_from_json(doc)
+    good = apta_to_json(npta_to_apta(builtin("M01")))
+    for key in ("alphabet", "states", "initial"):
+        doc = dict(good)
+        del doc[key]
+        with pytest.raises(AutomatonError, match=repr(key)):
+            apta_from_json(doc)
+    path = tmp_path / "invalid.json"
+    for content in (b"{not json", b"\xff{}"):
+        path.write_bytes(content)
+        with pytest.raises(AutomatonError, match="not valid JSON"):
+            load_automaton(path)
 
 
 def test_dump_load_dispatch(tmp_path):

@@ -393,6 +393,18 @@ def test_unknown_flag_is_rejected(capsys):
     assert info.value.code == 2
 
 
-def test_missing_file_is_an_input_error(capsys):
+def test_missing_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "gtl", "--tree", "no-such-file.json")
     assert code == 2 and err
+    tree = write_tree(tmp_path, "t.json", ALL_EXISTS_ZERO)
+    missing = str(tmp_path / "missing.json")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    for argv, named in (
+        (("solve", "--game", missing), missing),
+        (("member", "--automaton", missing, "--tree", tree), missing),
+        (("reduce", "--code", missing, "--tree", tree), missing),
+        (("reduce", "--code", str(invalid), "--tree", tree), str(invalid)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and named in err, (argv, err)

@@ -183,10 +183,11 @@ def test_code_json_round_trip():
     for _ in range(40):
         code = random_code(rng, 3)
         assert code_from_json(code_to_json(code)) == code
-    with pytest.raises(TreeError):
-        code_from_json({"kind": "wat"})
-    with pytest.raises(TreeError):
-        code_from_json({"kind": "union"})
+    for doc in ({"kind": "wat"}, {"kind": "union"}, ["cyl"], {}, {"kind": "neg"},
+                {"kind": "cyl", "assign": [["1", "(E,0)"]]},
+                {"kind": "union", "head": {"kind": "cyl", "assign": {}}}):
+        with pytest.raises(TreeError):
+            code_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
