@@ -17,7 +17,7 @@ State names are strings throughout, so automata serialize directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from .trees import (
@@ -300,9 +300,21 @@ def intersection_product(a: NPTA, b: NPTA) -> NPTA:
 # Alternating automata.
 
 class Formula:
-    """Positive boolean combination of moves; see the subclasses."""
+    """Positive boolean combination of moves; see the subclasses.
+
+    Atom, And and Or compute their hash once, in __post_init__, from the
+    fields their equality compares, so hashing a game position that holds a
+    formula costs one call rather than a walk over the whole formula."""
 
     __slots__ = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields, so that an unpickled formula hashes under
+        # its own process's string hash seed.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -325,6 +337,9 @@ class Atom(Formula):
     def __post_init__(self):
         if self.direction not in ("1", "2"):
             raise AutomatonError(f"direction must be '1' or '2', got {self.direction!r}")
+        object.__setattr__(self, "_hash", hash((self.direction, self.state)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -335,6 +350,9 @@ class And(Formula):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise AutomatonError("And needs at least one part")
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -345,6 +363,9 @@ class Or(Formula):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise AutomatonError("Or needs at least one part")
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    __hash__ = Formula.__hash__
 
 
 TRUE = TrueFormula()

@@ -19,12 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .trees import (
     TreeError,
     doc_text,
     load_tree,
     read_doc,
+    read_text,
     rename_tree,
     tree_distance,
     tree_to_json,
@@ -32,6 +34,7 @@ from .trees import (
 from .games import (
     ADAM,
     EVE,
+    GameError,
     game_from_text,
     game_to_dot,
     solve,
@@ -69,11 +72,12 @@ from .separation import (
 
 
 def _emit(doc, out_path=None, artifact=None) -> None:
-    """Print doc; with out_path, also write artifact (default: doc) there."""
+    """Print doc; with out_path, also write artifact (default: doc) there.
+    The file is opened first, so an unwritable path prints nothing."""
     text = doc_text(doc)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
+    with open(out_path, "w") if out_path else nullcontext() as fh:
+        sys.stdout.write(text)
+        if fh:
             fh.write(text if artifact is None else doc_text(artifact))
 
 
@@ -100,8 +104,7 @@ def _load_any_automaton(ref: str):
 # Commands.
 
 def cmd_solve(args) -> int:
-    with open(args.game) as fh:
-        g = game_from_text(fh.read())
+    g = game_from_text(read_text(args.game, GameError, "game text"))
     res = solve(g)
     doc = {
         "eve_region": sorted(res.eve_region),
@@ -109,10 +112,11 @@ def cmd_solve(args) -> int:
         "eve_strategy": sorted([v, w] for v, w in res.eve_strategy.choice.items()),
         "adam_strategy": sorted([v, w] for v, w in res.adam_strategy.choice.items()),
     }
-    _emit(doc, args.output)
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(game_to_dot(g, res))
+    # Opened before anything is printed, as _emit does with -o.
+    with open(args.dot, "w") if args.dot else nullcontext() as dot:
+        _emit(doc, args.output)
+        if dot:
+            dot.write(game_to_dot(g, res))
     return 0
 
 

@@ -350,19 +350,26 @@ def _sccs(nodes, succ_of):
 
 def has_cycle_with_max_parity(nodes, succ_of, priority, parity) -> bool:
     """Whether some cycle of the graph has a maximal priority of the given
-    parity.  A cycle with maximum exactly c lives inside the subgraph of
-    priorities <= c and passes through a priority-c node, and vice versa."""
-    for c in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True):
-        sub = {v for v in nodes if priority[v] <= c}
+    parity, by nested SCC decomposition (Emerson & Lei, LICS 1986).  Every
+    node of a nontrivial SCC lies on a cycle inside it, so one whose top
+    priority has the parity holds such a cycle; otherwise any such cycle
+    avoids the top-priority nodes and lies in the rest of the SCC."""
+    todo = [set(nodes)]
+    while todo:
+        sub = todo.pop()
 
         def sub_succ(v):
             return [w for w in succ_of(v) if w in sub]
 
         for comp in _sccs(sub, sub_succ):
-            if not any(priority[v] == c for v in comp):
+            if len(comp) == 1 and comp[0] not in sub_succ(comp[0]):
                 continue
-            if len(comp) > 1 or comp[0] in sub_succ(comp[0]):
+            top = max(priority[v] for v in comp)
+            if top % 2 == parity:
                 return True
+            rest = {v for v in comp if priority[v] != top}
+            if rest:
+                todo.append(rest)
     return False
 
 

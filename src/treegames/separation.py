@@ -159,7 +159,11 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
 
     Draws random positional choices inside Eve's winning region of the
     emptiness game and keeps those that verify as winning, so every returned
-    tree is a member.  Raises ValueError on an empty language.
+    tree is a member.  Every draw picks a move at every position, so the
+    random stream is the same whichever draws are skipped.  A draw whose
+    strategy, on the positions it reaches, was already tried is skipped,
+    so each distinct strategy is verified once, before its tree is used.
+    Raises ValueError on an empty language.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -176,18 +180,32 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
 
     rng = random.Random(seed)
     trees: list[RegularTree] = []
+    tried = set()
     budget = max(100, 20 * n)
     for _ in range(budget):
         choice = {pos: rng.choice(opts) for pos, opts in options.items()}
         reach = {start}
         frontier = [start]
+        moves = []
         while frontier:
             pos = frontier.pop()
-            nxts = (choice[pos],) if pos[0] == "s" else game.successors[pos]
+            if pos[0] == "s":
+                moves.append(choice[pos])
+                nxts = (choice[pos],)
+            else:
+                nxts = game.successors[pos]
             for nxt in nxts:
                 if nxt not in reach:
                     reach.add(nxt)
                     frontier.append(nxt)
+        # The walk is fixed by Eve's moves in the order it meets them, so
+        # `moves` names the strategy restricted to `reach`, which is all the
+        # check and the trimmed tree below depend on.  A repeat was rejected
+        # before, or its tree is bisimilar to a kept one.
+        moves = tuple(moves)
+        if moves in tried:
+            continue
+        tried.add(moves)
         if not verify_strategy(game, Strategy(EVE, choice), reach):
             continue
         t = strategy_tree(a, choice)

@@ -306,14 +306,25 @@ def tree_to_json(t: RegularTree) -> dict:
     }
 
 
+def read_text(path, error, what):
+    """The text of the file at `path`; raises `error`, naming the file, when
+    it is not valid UTF-8 and so not valid `what`.  A file that cannot be
+    opened raises OSError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid {what}: {exc}") from None
+
+
 def read_doc(path, error):
     """The JSON document in the file at `path`; raises `error` when the file
     is not valid UTF-8 JSON.  A file that cannot be opened raises OSError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from None
+    text = read_text(path, error, "JSON")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def doc_text(doc) -> str:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from treegames.trees import Alphabet, RegularTree, label_at
-from treegames.games import ParityGame
-from treegames.automata import NPTA, transition_table
+from treegames.trees import Alphabet, RegularTree, bisimilar, label_at
+from treegames.games import EVE, ParityGame, Strategy, _sccs, solve, verify_strategy
+from treegames.automata import NPTA, emptiness_game, strategy_tree, transition_table
 from treegames.gamelang import Cyl, Neg, Union
 from treegames.automata import GAME_ALPHABET
 
@@ -83,6 +83,25 @@ def odd_dominated_cycle(nodes, succ, rank) -> bool:
     return False
 
 
+def max_parity_cycle_by_levels(nodes, succ_of, priority, parity) -> bool:
+    """Oracle for games.has_cycle_with_max_parity: one Tarjan pass per
+    candidate top priority c.  A cycle with maximum exactly c lives inside
+    the subgraph of priorities <= c and passes through a priority-c node,
+    and vice versa."""
+    for c in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True):
+        sub = {v for v in nodes if priority[v] <= c}
+
+        def sub_succ(v):
+            return [w for w in succ_of(v) if w in sub]
+
+        for comp in _sccs(sub, sub_succ):
+            if not any(priority[v] == c for v in comp):
+                continue
+            if len(comp) > 1 or comp[0] in sub_succ(comp[0]):
+                return True
+    return False
+
+
 def det_member_oracle(a: NPTA, t: RegularTree) -> bool:
     """Membership for a deterministic automaton by inspecting the product
     of the generator with the automaton: the unique run exists and no
@@ -125,3 +144,36 @@ def unfold_with_tail(t: RegularTree, depth: int, tail_symbol: str) -> RegularTre
         else:
             left[word] = right[word] = "@tail"
     return RegularTree(t.alphabet, "", label, left, right)
+
+
+def reference_sample(a: NPTA, n: int, seed: int) -> list:
+    """separation.sample_language's trees by the plain loop: every draw is
+    walked, verified and compared, repeats included.  Raises ValueError on
+    an empty language."""
+    game = emptiness_game(a)
+    res = solve(game)
+    start = ("s", a.initial)
+    if start not in res.eve_region:
+        raise ValueError("language is empty")
+    options = {pos: [w for w in game.successors[pos] if w in res.eve_region]
+               for pos in game.positions if pos[0] == "s" and pos in res.eve_region}
+    rng = random.Random(seed)
+    trees = []
+    for _ in range(max(100, 20 * n)):
+        choice = {pos: rng.choice(opts) for pos, opts in options.items()}
+        reach = {start}
+        frontier = [start]
+        while frontier:
+            pos = frontier.pop()
+            for nxt in (choice[pos],) if pos[0] == "s" else game.successors[pos]:
+                if nxt not in reach:
+                    reach.add(nxt)
+                    frontier.append(nxt)
+        if not verify_strategy(game, Strategy(EVE, choice), reach):
+            continue
+        t = strategy_tree(a, choice)
+        if not any(bisimilar(t, u) for u in trees):
+            trees.append(t)
+            if len(trees) == n:
+                break
+    return trees

@@ -29,6 +29,8 @@ from treegames.automata import (
     builtin,
     dump_automaton,
     emptiness_game,
+    formula_from_json,
+    formula_to_json,
     index_of,
     intersection_product,
     is_buchi,
@@ -419,6 +421,21 @@ def test_apta_json_round_trip():
     tricky = APTA(BINARY, ("q",), "q", {("q", "0"): TRUE, ("q", "1"): FALSE},
                   {"q": 0})
     assert apta_from_json(apta_to_json(tricky)) == tricky
+
+
+def test_equal_formulas_hash_equal():
+    # Hashes are cached at construction; equal formulas built apart, or
+    # read back from JSON, must still be equal and hash alike.
+    def build(d):
+        return Or((And((Atom("1", "p"), Atom("2", "q"))), Atom(d, "r"), TRUE))
+
+    f, g = build("2"), build("2")
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != build("1")
+    for h in (f, f.parts[0], f.parts[0].parts[1], FALSE):
+        back = formula_from_json(formula_to_json(h))
+        assert back == h and hash(back) == hash(h)
+    assert len({f, g, formula_from_json(formula_to_json(f))}) == 1
 
 
 def test_automaton_schema_errors(tmp_path):

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -293,8 +295,9 @@ def test_builtin_golden_files(capsys):
 
 
 def test_separate_and_empty_golden_files(tmp_path, capsys):
-    # Pins the whole separator document, the sampled report and the
-    # emptiness witness, none of which other tests compare exactly.
+    # Pins the whole separator document, the sampled report, the emptiness
+    # witness and a run of sampled trees, none of which other tests compare
+    # exactly.
     from treegames.separation import example_pairs
 
     pair = next(p for p in example_pairs() if p.name == "leftmost0-vs-leftmost1")
@@ -305,6 +308,8 @@ def test_separate_and_empty_golden_files(tmp_path, capsys):
         ("separate_leftmost0-vs-leftmost1_level2.json",
          ["separate", str(a), str(b), "--level", "2", "--samples", "5"]),
         ("empty_UBbin.json", ["empty", "--automaton", "UBbin"]),
+        ("sample_L_n20_seed5.json",
+         ["sample", "--automaton", "L", "--samples", "20", "--seed", "5"]),
     ]
     for golden, argv in cases:
         with open(os.path.join(GOLDEN, golden)) as fh:
@@ -400,11 +405,49 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{not json")
+    not_utf8 = tmp_path / "not-utf8.txt"
+    not_utf8.write_bytes(b"\xff")
     for argv, named in (
         (("solve", "--game", missing), missing),
         (("member", "--automaton", missing, "--tree", tree), missing),
         (("reduce", "--code", missing, "--tree", tree), missing),
         (("reduce", "--code", str(invalid), "--tree", tree), str(invalid)),
+        (("solve", "--game", str(not_utf8)), str(not_utf8)),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and named in err, (argv, err)
+
+
+def test_unwritable_output_prints_nothing(tmp_path, capsys):
+    tree = write_tree(tmp_path, "t.json", ALL_EXISTS_ZERO)
+    game = tmp_path / "g.txt"
+    game.write_text("parity 0;\n0 0 0 0;\n")
+    nowhere = str(tmp_path / "nodir" / "x.json")
+    for argv in (("gtl", "--tree", tree, "-o", nowhere),
+                 ("solve", "--game", str(game), "--dot", nowhere)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert nowhere in err
+
+
+def test_separate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Positions are hashed tuples of strings and formulas; two string hash
+    # seeds give two iteration orders of every set and dict keyed by them.
+    from treegames.separation import example_pairs
+
+    pair = next(p for p in example_pairs() if p.name == "leftmost0-vs-leftmost1")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dump_automaton(pair.a, a)
+    dump_automaton(pair.b, b)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treegames.cli", "separate", str(a), str(b),
+             "--level", "2", "--samples", "5"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -21,7 +21,7 @@ from treegames.games import (
     verify_strategy,
 )
 
-from helpers import odd_dominated_cycle, random_game
+from helpers import max_parity_cycle_by_levels, odd_dominated_cycle, random_game
 
 
 def game(owner, prio, succ):
@@ -99,13 +99,27 @@ def test_solver_strategies_verify():
         assert ok, (trial, g, notes)
 
 
+def peel_chain(n):
+    # Position i has priority i, owner (i+1) mod 2 and edges to i-1 and i.
+    return game({i: (i + 1) % 2 for i in range(n)}, {i: i for i in range(n)},
+                {i: (i - 1, i) if i else (0,) for i in range(n)})
+
+
 def test_solver_handles_one_priority_per_position_deep_chains():
-    # Peel chain: position i has priority i, owner (i+1) mod 2 and edges to
-    # i-1 and i.  Each of its 1,200 priorities is one level of Zielonka's
+    # Each of the peel chain's 1,200 priorities is one level of Zielonka's
     # algorithm, well past Python's default recursion limit.
     n = 1200
-    g = game({i: (i + 1) % 2 for i in range(n)}, {i: i for i in range(n)},
-             {i: (i - 1, i) if i else (0,) for i in range(n)})
+    g = peel_chain(n)
+    res = solve(g)
+    assert res.eve_region == frozenset(range(n))
+    assert verify_strategy(g, res.eve_strategy, res.eve_region)
+    assert verify_strategy(g, res.adam_strategy, res.adam_region)
+
+
+def test_verify_handles_one_priority_per_position_long_chains():
+    # One cycle check per distinct priority made this quadratic in n.
+    n = 5000
+    g = peel_chain(n)
     res = solve(g)
     assert res.eve_region == frozenset(range(n))
     assert verify_strategy(g, res.eve_strategy, res.eve_region)
@@ -143,6 +157,19 @@ def test_cycle_analysis_matches_reachability_oracle():
                     if parity == 1 else
                     odd_dominated_cycle(range(n), lambda v: succ[v], flipped))
             assert got == want, (trial, succ, rank, parity)
+
+
+def test_nested_scc_cycle_check_matches_per_priority_oracle():
+    rng = random.Random(411)
+    for trial in range(3000):
+        n = rng.randint(1, 12)
+        succ = {i: tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+                for i in range(n)}
+        prio = {i: rng.randint(0, 6) for i in range(n)}
+        for parity in (0, 1):
+            got = has_cycle_with_max_parity(range(n), lambda v: succ[v], prio, parity)
+            want = max_parity_cycle_by_levels(range(n), lambda v: succ[v], prio, parity)
+            assert got == want, (trial, succ, prio, parity)
 
 
 def test_game_construction_validation():

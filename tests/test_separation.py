@@ -4,15 +4,18 @@ import random
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, random_regular_tree
+from treegames.trees import bisimilar, constant_tree, random_regular_tree, tree_to_json
 from treegames.automata import (
     BINARY,
     BIT_SWAP,
+    BUILTIN_NAMES,
     NPTA,
     builtin,
+    is_buchi,
     member,
     member_alt,
     rename_automaton,
+    witness,
 )
 from treegames.separation import (
     NotDisjoint,
@@ -26,6 +29,8 @@ from treegames.separation import (
     synthesize_separator,
     verify_separation,
 )
+
+from helpers import random_npta, reference_sample
 
 
 def singleton(symbol):
@@ -116,6 +121,27 @@ def test_sampling_is_deterministic_and_sound():
     for i, t in enumerate(first.trees):
         for u in first.trees[i + 1:]:
             assert not bisimilar(t, u), "samples must be pairwise distinct"
+
+
+def test_sampling_matches_the_reference_sampler():
+    # Skipping repeated strategies must not change a single sampled tree or
+    # their order.
+    rng = random.Random(418)
+    cases = [builtin(name) for name in BUILTIN_NAMES if is_buchi(builtin(name))]
+    cases += [side for pair in example_pairs() for side in (pair.a, pair.b)]
+    nonempty = 0
+    while nonempty < 30:
+        a = random_npta(rng, BINARY, 4, 1)
+        a = NPTA(a.alphabet, a.states, a.initial, a.transitions,
+                 {q: r + 1 for q, r in a.rank.items()})
+        if witness(a) is not None:
+            cases.append(a)
+            nonempty += 1
+    for i, a in enumerate(cases):
+        for n, seed in ((3, i), (12, 1000 + i)):
+            want = [tree_to_json(t) for t in reference_sample(a, n, seed)]
+            got = [tree_to_json(t) for t in sample_language(a, n, seed).trees]
+            assert got == want, (i, n, seed)
 
 
 def test_sampling_reports_exhaustion():
