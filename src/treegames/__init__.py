@@ -89,6 +89,7 @@ from .gamelang import (
     reduce_borel,
 )
 from .separation import (
+    EmptyLanguage,
     NotDisjoint,
     SampleSet,
     SeparationReport,

@@ -47,6 +47,28 @@ class Index(NamedTuple):
     hi: int
 
 
+def _check_header(a) -> set:
+    """Checks NPTA and APTA share: distinct string states, a known initial
+    state, and a nonnegative int rank on every state and no other.  Stores
+    states as a tuple and rank as a copy; returns the state set."""
+    object.__setattr__(a, "states", tuple(a.states))
+    if len(set(a.states)) != len(a.states):
+        raise AutomatonError("duplicate states")
+    for q in a.states:
+        if not isinstance(q, str):
+            raise AutomatonError(f"state {q!r} is not a string")
+    states = set(a.states)
+    if a.initial not in states:
+        raise AutomatonError(f"initial state {a.initial!r} unknown")
+    if set(a.rank) != states:
+        raise AutomatonError("rank must be total on the states")
+    for q, k in a.rank.items():
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise AutomatonError(f"rank of {q!r} must be a nonnegative integer")
+    object.__setattr__(a, "rank", dict(a.rank))
+    return states
+
+
 @dataclass(frozen=True)
 class NPTA:
     """Nondeterministic parity tree automaton over a binary tree alphabet."""
@@ -58,15 +80,7 @@ class NPTA:
     rank: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(set(self.states)) != len(self.states):
-            raise AutomatonError("duplicate states")
-        for q in self.states:
-            if not isinstance(q, str):
-                raise AutomatonError(f"state {q!r} is not a string")
-        states = set(self.states)
-        if self.initial not in states:
-            raise AutomatonError(f"initial state {self.initial!r} unknown")
+        states = _check_header(self)
         normalized = sorted({tuple(t) for t in self.transitions})
         for q, a, l, r in normalized:
             if q not in states or l not in states or r not in states:
@@ -74,12 +88,6 @@ class NPTA:
             if a not in self.alphabet:
                 raise AutomatonError(f"transition {(q, a, l, r)!r} uses an unknown letter")
         object.__setattr__(self, "transitions", tuple(normalized))
-        if set(self.rank) != states:
-            raise AutomatonError("rank must be total on the states")
-        for q, k in self.rank.items():
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise AutomatonError(f"rank of {q!r} must be a nonnegative integer")
-        object.__setattr__(self, "rank", dict(self.rank))
 
 
 def index_of(a) -> Index:
@@ -117,13 +125,6 @@ def rename_automaton(a: NPTA, renaming: LetterRenaming) -> NPTA:
         a,
         transitions=tuple((q, renaming.apply(s), l, r) for q, s, l, r in a.transitions),
     )
-
-
-def with_initial(a, state: str):
-    """Same automaton started in another state."""
-    if state not in a.states:
-        raise AutomatonError(f"state {state!r} unknown")
-    return replace(a, initial=state)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +177,7 @@ class RunWitness:
 
 
 def member(a: NPTA, t: RegularTree) -> bool:
-    game = membership_game(a, t)
-    return membership_start(a, t) in solve(game).eve_region
+    return member_witness(a, t) is not None
 
 
 def member_witness(a: NPTA, t: RegularTree) -> RunWitness | None:
@@ -392,12 +392,7 @@ class APTA:
     rank: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(set(self.states)) != len(self.states):
-            raise AutomatonError("duplicate states")
-        states = set(self.states)
-        if self.initial not in states:
-            raise AutomatonError(f"initial state {self.initial!r} unknown")
+        states = _check_header(self)
         expected = {(q, letter) for q in self.states for letter in self.alphabet}
         if set(self.delta) != expected:
             raise AutomatonError("delta must be total on states x alphabet")
@@ -407,10 +402,7 @@ class APTA:
             for q in _formula_states(f):
                 if q not in states:
                     raise AutomatonError(f"delta{key!r} mentions unknown state {q!r}")
-        if set(self.rank) != states:
-            raise AutomatonError("rank must be total on the states")
         object.__setattr__(self, "delta", dict(self.delta))
-        object.__setattr__(self, "rank", dict(self.rank))
 
 
 def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
@@ -559,30 +551,28 @@ def _automaton_UBbin() -> NPTA:
 
 _MIK = re.compile(r"Mik\((\d+),(\d+)\)")
 
-BUILTIN_NAMES = ("L", "M01", "K-det", "K-buchi", "W01", "W01-prime", "UBbin")
+_BUILTINS = {
+    "L": _automaton_L,
+    "M01": lambda: _automaton_Mik(0, 1),
+    "K-det": _automaton_K_det,
+    "K-buchi": _automaton_K_buchi,
+    "W01": _automaton_W01,
+    "W01-prime": lambda: rename_automaton(_automaton_W01(), DUALITY),
+    "UBbin": _automaton_UBbin,
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def is_builtin_name(name: str) -> bool:
     """Whether `builtin` knows the name: one of BUILTIN_NAMES or 'Mik(i,k)'."""
-    return name in BUILTIN_NAMES or _MIK.fullmatch(name) is not None
+    return name in _BUILTINS or _MIK.fullmatch(name) is not None
 
 
 def builtin(name: str) -> NPTA:
     """Builtin automaton by name; Mik takes its ranks as in 'Mik(1,3)'."""
-    if name == "L":
-        return _automaton_L()
-    if name == "M01":
-        return _automaton_Mik(0, 1)
-    if name == "K-det":
-        return _automaton_K_det()
-    if name == "K-buchi":
-        return _automaton_K_buchi()
-    if name == "W01":
-        return _automaton_W01()
-    if name == "W01-prime":
-        return rename_automaton(_automaton_W01(), DUALITY)
-    if name == "UBbin":
-        return _automaton_UBbin()
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     m = _MIK.fullmatch(name)
     if m:
         return _automaton_Mik(int(m.group(1)), int(m.group(2)))
@@ -606,18 +596,20 @@ def automaton_to_json(a: NPTA) -> dict:
 
 
 def _header(doc) -> tuple:
-    """Alphabet, states and initial state of either automaton document."""
+    """Alphabet, states, initial state and ranks of either automaton
+    document."""
     try:
         alphabet = Alphabet(tuple(doc_field(doc, "alphabet", list, "automaton", AutomatonError)))
     except TreeError as exc:
         raise AutomatonError(str(exc)) from None
     states = tuple(doc_field(doc, "states", list, "automaton", AutomatonError))
     initial = doc_field(doc, "initial", str, "automaton", AutomatonError)
-    return alphabet, states, initial
+    ranks = doc_field(doc, "ranks", dict, "automaton", AutomatonError)
+    return alphabet, states, initial, ranks
 
 
 def automaton_from_json(doc: dict) -> NPTA:
-    alphabet, states, initial = _header(doc)
+    alphabet, states, initial, ranks = _header(doc)
     transitions = []
     for entry in doc_field(doc, "transitions", list, "automaton", AutomatonError):
         transitions.append((
@@ -626,8 +618,7 @@ def automaton_from_json(doc: dict) -> NPTA:
             doc_field(entry, "left", str, "transition", AutomatonError),
             doc_field(entry, "right", str, "transition", AutomatonError),
         ))
-    ranks = doc_field(doc, "ranks", dict, "automaton", AutomatonError)
-    return NPTA(alphabet, states, initial, tuple(transitions), dict(ranks))
+    return NPTA(alphabet, states, initial, tuple(transitions), ranks)
 
 
 def formula_to_json(f: Formula):
@@ -672,7 +663,7 @@ def apta_to_json(a: APTA) -> dict:
 
 
 def apta_from_json(doc: dict) -> APTA:
-    alphabet, states, initial = _header(doc)
+    alphabet, states, initial, ranks = _header(doc)
     delta = {}
     for entry in doc_field(doc, "delta", list, "automaton", AutomatonError):
         key = (doc_field(entry, "state", str, "delta entry", AutomatonError),
@@ -681,8 +672,7 @@ def apta_from_json(doc: dict) -> APTA:
             raise AutomatonError(f"delta entry {key!r} duplicated")
         formula = doc_field(entry, "formula", dict, "delta entry", AutomatonError)
         delta[key] = formula_from_json(formula)
-    ranks = doc_field(doc, "ranks", dict, "automaton", AutomatonError)
-    return APTA(alphabet, states, initial, delta, dict(ranks))
+    return APTA(alphabet, states, initial, delta, ranks)
 
 
 def dump_automaton(a, path) -> None:

@@ -63,6 +63,7 @@ from .gamelang import (
     reduce_borel,
 )
 from .separation import (
+    EmptyLanguage,
     NotDisjoint,
     report_to_json,
     sample_language,
@@ -189,11 +190,7 @@ def cmd_dual(args) -> int:
 
 def cmd_sample(args) -> int:
     a = _load_npta(args.automaton)
-    try:
-        result = sample_language(a, args.samples, args.seed)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 3
+    result = sample_language(a, args.samples, args.seed)
     doc = {
         "seed": args.seed,
         "requested": result.requested,
@@ -375,9 +372,10 @@ def main(argv=None) -> int:
                "witness": tree_to_json(exc.tree)})
         return 3
     except (ValueError, OSError) as exc:
-        # unreadable files, TreeError, GameError, AutomatonError, bad schemas
+        # unreadable files, TreeError, GameError, AutomatonError, bad schemas;
+        # sampling an empty language is a precondition failure
         _fail(str(exc))
-        return 2
+        return 3 if isinstance(exc, EmptyLanguage) else 2
 
 
 def entry() -> None:

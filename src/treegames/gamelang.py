@@ -200,8 +200,8 @@ def read_depth(code: BorelCode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Membership in the plain parity languages and the rightmost-branch
-# separator, decided on the generator directly.
+# Membership in the plain parity languages, decided on the generator
+# directly, and in the rightmost-branch separator, decided by K-det.
 
 def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
     """Whether every branch of a tree labeled by i..k has even limsup.  All

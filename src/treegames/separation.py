@@ -7,10 +7,10 @@ Level 0 accepts the trees admitting any a-run at all (a pure safety check,
 every q@0 ranked 0).  Level n+1 re-runs a with its Büchi ranks, but
 whenever a branch passes through an accepting (rank 2) state p, it
 additionally launches p@n, the level-n check on the subtree there.  Each
-level squeezes the accepted set closer to T(a); level k is the APTA
-started at q0@k for a's initial state q0, and the level to synthesize at
-is 2^(|a| * |b|) + 1 by default, which is far more than the shipped
-examples need.
+level squeezes the accepted set closer to T(a); level k is
+build_hierarchy(a, k).top, the APTA on levels 0..k started at q0@k for a's
+initial state q0.  The level to synthesize at is 2^(|a| * |b|) + 1 by
+default, which is far more than the shipped examples need.
 
 T(a) always sits inside every level, so verification is sample-based on the
 b side: draw members of both languages and check the separator accepts the
@@ -19,27 +19,29 @@ a-samples and rejects the b-samples.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from .trees import RegularTree, bisimilar
+from .trees import RegularTree, bisimilar, tree_to_json
 from .games import EVE, Strategy, solve, verify_strategy
 from .automata import (
     APTA,
+    BINARY,
+    BIT_SWAP,
     NPTA,
     And,
     Atom,
+    builtin,
     emptiness_game,
     intersection_product,
     is_buchi,
     member_alt,
+    rename_automaton,
     strategy_tree,
     transition_formula,
     transition_table,
-    with_initial,
     witness,
 )
-
-import random
 
 
 class NotDisjoint(ValueError):
@@ -49,6 +51,10 @@ class NotDisjoint(ValueError):
     def __init__(self, tree: RegularTree):
         super().__init__("languages are not disjoint")
         self.tree = tree
+
+
+class EmptyLanguage(ValueError):
+    """Samples requested from an automaton that accepts no tree."""
 
 
 def separator_level_bound(n_states_a: int, n_states_b: int) -> int:
@@ -80,18 +86,11 @@ def _level_move(a: NPTA, p: str, direction: str, n: int):
 class SeparatorHierarchy:
     """Levels 0..n of the construction for one base automaton, as one APTA
     whose states q@k run level k and whose initial state is the base's
-    initial state on level n."""
+    initial state on level n.  Level k on its own is
+    build_hierarchy(base, k).top."""
 
     base: NPTA
     top: APTA
-
-    def level(self, n: int) -> APTA:
-        """Level n: the single APTA started at the base's initial state on
-        level n, from where only levels 0..n are reachable."""
-        up_to = len(self.top.states) // len(self.base.states) - 1
-        if not 0 <= n <= up_to:
-            raise ValueError(f"level {n} outside 0..{up_to}")
-        return with_initial(self.top, level_state(self.base.initial, n))
 
 
 def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
@@ -128,8 +127,6 @@ def synthesize_separator(a: NPTA, b: NPTA, level: int | None = None) -> APTA:
     everything in T(b).  Raises NotDisjoint (with a witness tree) when the
     languages overlap.  `level` overrides the default hierarchy height
     separator_level_bound(|a|, |b|)."""
-    _require_buchi(a)
-    _require_buchi(b)
     w = disjointness_witness(a, b)
     if w is not None:
         raise NotDisjoint(w)
@@ -163,7 +160,8 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     random stream is the same whichever draws are skipped.  A draw whose
     strategy, on the positions it reaches, was already tried is skipped,
     so each distinct strategy is verified once, before its tree is used.
-    Raises ValueError on an empty language.
+    Raises EmptyLanguage when the automaton accepts no tree, ValueError
+    when n is below 1.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -171,7 +169,7 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     res = solve(game)
     start = ("s", a.initial)
     if start not in res.eve_region:
-        raise ValueError("language is empty")
+        raise EmptyLanguage("language is empty")
 
     options = {}
     for pos in game.positions:
@@ -246,14 +244,11 @@ def verify_separation(separator: APTA, a: NPTA, b: NPTA, n: int, seed: int,
     sample_a = sample_language(a, n, seed)
     sample_b = sample_language(b, n, seed + 1)
     failures = []
-    for i, t in enumerate(sample_a.trees):
-        got = member_alt(separator, t)
-        if not got:
-            failures.append(SeparationFailure("accept", i, True, got, t))
-    for i, t in enumerate(sample_b.trees):
-        got = member_alt(separator, t)
-        if got:
-            failures.append(SeparationFailure("reject", i, False, got, t))
+    for side, sample, want in (("accept", sample_a, True), ("reject", sample_b, False)):
+        for i, t in enumerate(sample.trees):
+            got = member_alt(separator, t)
+            if got != want:
+                failures.append(SeparationFailure(side, i, want, got, t))
     return SeparationReport(
         accept_checked=len(sample_a.trees),
         reject_checked=len(sample_b.trees),
@@ -265,8 +260,6 @@ def verify_separation(separator: APTA, a: NPTA, b: NPTA, n: int, seed: int,
 
 
 def report_to_json(report: SeparationReport) -> dict:
-    from .trees import tree_to_json
-
     return {
         "passed": report.passed,
         "accept_checked": report.accept_checked,
@@ -301,16 +294,12 @@ class ExamplePair:
 
 
 def _singleton(symbol: str) -> NPTA:
-    from .automata import BINARY
-
     return NPTA(BINARY, ("s",), "s", (("s", symbol, "s", "s"),), {"s": 2})
 
 
 def _leftmost_constant(symbol: str) -> NPTA:
     # Trees whose leftmost branch is constantly `symbol`; a 2-state safety
     # automaton, trivially Büchi with all ranks 2.
-    from .automata import BINARY
-
     transitions = [("m", symbol, "m", "T"),
                    ("T", "0", "T", "T"), ("T", "1", "T", "T")]
     return NPTA(BINARY, ("m", "T"), "m", tuple(transitions), {"m": 2, "T": 2})
@@ -319,8 +308,6 @@ def _leftmost_constant(symbol: str) -> NPTA:
 def _leftmost_finitely_many_ones() -> NPTA:
     # The leftmost branch carries finitely many 1s: ride it in q, guess the
     # last 1, then demand 0s forever in p.
-    from .automata import BINARY
-
     transitions = [("q", "0", "q", "T"), ("q", "1", "q", "T"),
                    ("q", "0", "p", "T"), ("q", "1", "p", "T"),
                    ("p", "0", "p", "T"),
@@ -333,8 +320,6 @@ def example_pairs() -> tuple[ExamplePair, ...]:
     """Disjoint Büchi pairs covering singleton, dense and renamed languages.
     Pairs whose default bound is large carry a small exercise level that
     already separates them."""
-    from .automata import BIT_SWAP, builtin, rename_automaton
-
     all0 = _singleton("0")
     all1 = _singleton("1")
     return (

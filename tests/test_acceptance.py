@@ -169,11 +169,10 @@ def test_criterion_6_separator_synthesis_corpus():
         assert report.passed, (pair.name, report.failures)
 
         cap = pair.level if pair.level is not None else 3
-        hierarchy = build_hierarchy(pair.a, cap)
+        levels = [build_hierarchy(pair.a, n).top for n in range(cap + 1)]
         for seed_shift, side in enumerate((pair.a, pair.b)):
             for t in sample_language(side, 100, 42 + seed_shift).trees:
-                verdicts = [member_alt(hierarchy.level(n), t)
-                            for n in range(cap + 1)]
+                verdicts = [member_alt(level, t) for level in levels]
                 for n in range(cap):
                     assert verdicts[n + 1] <= verdicts[n], (pair.name, n)
     elapsed = time.monotonic() - start

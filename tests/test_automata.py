@@ -44,7 +44,6 @@ from treegames.automata import (
     npta_to_apta,
     rename_automaton,
     transition_table,
-    with_initial,
     witness,
 )
 
@@ -108,11 +107,8 @@ def test_is_deterministic_and_buchi():
     assert not is_buchi(builtin("K-det"))
 
 
-def test_with_initial_and_transition_table():
+def test_transition_table():
     a = builtin("L")
-    assert with_initial(a, "T").initial == "T"
-    with pytest.raises(AutomatonError):
-        with_initial(a, "zz")
     table = transition_table(a)
     assert len(table["q", "0"]) == 2
     assert table["T", "1"] == [("T", "1", "T", "T")]
@@ -341,6 +337,18 @@ def test_apta_validation():
     delta = {("q", "0"): Atom("1", "zz"), ("q", "1"): TRUE}
     with pytest.raises(AutomatonError):
         APTA(BINARY, ("q",), "q", delta, {"q": 0})  # formula names unknown state
+    # The header checks NPTA makes too.
+    always = {("q", "0"): TRUE, ("q", "1"): TRUE}
+    good = apta_to_json(APTA(BINARY, ("q",), "q", always, {"q": 0}))
+    for rank in (-1, True):
+        with pytest.raises(AutomatonError, match="rank of"):
+            APTA(BINARY, ("q",), "q", always, {"q": rank})
+        with pytest.raises(AutomatonError, match="rank of"):
+            apta_from_json(dict(good, ranks={"q": rank}))
+    with pytest.raises(AutomatonError, match="not a string"):
+        APTA(BINARY, (7,), 7, {(7, "0"): TRUE, (7, "1"): TRUE}, {7: 0})
+    with pytest.raises(AutomatonError, match="not a string"):
+        apta_from_json(dict(good, states=[7]))
 
 
 def test_constant_formulas():

@@ -14,6 +14,7 @@ from treegames.automata import (
     BINARY,
     GAME_ALPHABET,
     NPTA,
+    apta_to_json,
     automaton_from_json,
     builtin,
     dump_automaton,
@@ -126,6 +127,17 @@ def test_member_alt_accepts_both_kinds(tmp_path, capsys):
     for ref in (str(path), "M01"):
         code, out, _ = run(capsys, "member-alt", "--automaton", ref, "--tree", zero)
         assert code == 0 and json.loads(out)["member"] is True
+
+
+def test_member_alt_rejects_bad_ranks_on_load(tmp_path, capsys):
+    zero = write_tree(tmp_path, "zero.json", constant_tree(BINARY, "0"))
+    for rank in (-1, True):
+        doc = apta_to_json(npta_to_apta(builtin("M01")))
+        doc["ranks"]["0"] = rank
+        path = tmp_path / "alt.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "member-alt", "--automaton", str(path), "--tree", zero)
+        assert (code, out) == (2, "") and "rank of" in err, (rank, err)
 
 
 def test_empty_emits_witness_or_flag(tmp_path, capsys):
@@ -272,9 +284,21 @@ def test_sample_echoes_seed_and_exhaustion(capsys):
 
 def test_sample_empty_language_is_a_precondition_failure(tmp_path, capsys):
     dead = tmp_path / "dead.json"
-    dump_automaton(NPTA(BINARY, ("q",), "q", (), {"q": 0}), dead)
-    code, _, err = run(capsys, "sample", "--automaton", str(dead))
-    assert code == 3 and "empty" in err
+    dump_automaton(NPTA(BINARY, ("q",), "q", (), {"q": 2}), dead)
+    one = singleton_file(tmp_path, "1")
+    for argv in (("sample", "--automaton", str(dead)),
+                 ("separate", str(dead), one, "--samples", "5"),
+                 ("separate", one, str(dead), "--samples", "5")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "language is empty" in err, (argv, err)
+
+
+def test_sample_and_separate_agree_on_a_bad_sample_count(tmp_path, capsys):
+    zero, one = singleton_file(tmp_path, "0"), singleton_file(tmp_path, "1")
+    for argv in (("sample", "--automaton", zero, "--samples", "0"),
+                 ("separate", zero, one, "--samples", "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "sample count must be positive" in err, (argv, err)
 
 
 def test_builtin_output_reparses(capsys):

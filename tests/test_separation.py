@@ -18,6 +18,7 @@ from treegames.automata import (
     witness,
 )
 from treegames.separation import (
+    EmptyLanguage,
     NotDisjoint,
     build_hierarchy,
     check_disjoint_buchi,
@@ -46,39 +47,48 @@ def test_level_bound_arithmetic():
 
 
 def test_level_zero_checks_run_existence_only():
-    level0 = build_hierarchy(singleton("0"), 0).level(0)
+    level0 = build_hierarchy(singleton("0"), 0).top
     assert member_alt(level0, constant_tree(BINARY, "0"))
     assert not member_alt(level0, constant_tree(BINARY, "1"))
     empty = NPTA(BINARY, ("q",), "q", (), {"q": 2})
-    assert not member_alt(build_hierarchy(empty, 0).level(0), constant_tree(BINARY, "0"))
+    assert not member_alt(build_hierarchy(empty, 0).top, constant_tree(BINARY, "0"))
     # Rank structure is irrelevant at level 0: L runs exist on all-0 even
     # though acceptance fails there.
-    assert member_alt(build_hierarchy(builtin("L"), 0).level(0), constant_tree(BINARY, "0"))
+    assert member_alt(build_hierarchy(builtin("L"), 0).top, constant_tree(BINARY, "0"))
 
 
 def test_hierarchy_levels_contain_the_language():
     for automaton in (builtin("L"), builtin("K-buchi"), singleton("1")):
-        hierarchy = build_hierarchy(automaton, 3)
+        levels = [build_hierarchy(automaton, n).top for n in range(4)]
         for seed, t in enumerate(sample_language(automaton, 8, 31).trees):
-            for n in range(4):
-                assert member_alt(hierarchy.level(n), t), (automaton.initial, n, seed)
+            for n, level in enumerate(levels):
+                assert member_alt(level, t), (automaton.initial, n, seed)
 
 
 def test_hierarchy_levels_shrink():
-    hierarchy = build_hierarchy(builtin("L"), 3)
+    levels = [build_hierarchy(builtin("L"), n).top for n in range(4)]
     rng = random.Random(430)
     for _ in range(60):
         t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
-        verdicts = [member_alt(hierarchy.level(n), t) for n in range(4)]
+        verdicts = [member_alt(level, t) for level in levels]
         for n in range(3):
             assert verdicts[n + 1] <= verdicts[n], (t, verdicts)
 
 
-def test_hierarchy_level_outside_the_built_range_is_refused():
-    hierarchy = build_hierarchy(builtin("L"), 3)
-    for n in (-1, 4):
-        with pytest.raises(ValueError):
-            hierarchy.level(n)
+def test_lower_levels_are_prefixes_of_higher_ones():
+    # Level n of a taller hierarchy is the whole of the level-n hierarchy:
+    # its first |a|*(n+1) states with their formulas and ranks, entered at
+    # the base's initial state on level n.
+    for pair in example_pairs():
+        for a in (pair.a, pair.b):
+            tall = build_hierarchy(a, 6).top
+            for n in range(7):
+                top = build_hierarchy(a, n).top
+                states = tall.states[:len(a.states) * (n + 1)]
+                assert top.states == states, (pair.name, n)
+                assert top.delta == {k: f for k, f in tall.delta.items() if k[0] in states}
+                assert top.rank == {q: tall.rank[q] for q in states}
+                assert top.initial == f"{a.initial}@{n}"
 
 
 def test_hierarchy_wants_buchi_ranks():
@@ -153,7 +163,7 @@ def test_sampling_reports_exhaustion():
 
 def test_sampling_empty_language():
     empty = NPTA(BINARY, ("q",), "q", (), {"q": 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyLanguage):
         sample_language(empty, 3, 0)
     with pytest.raises(ValueError):
         sample_language(builtin("L"), 0, 0)
