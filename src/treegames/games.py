@@ -5,6 +5,13 @@ when the highest priority occurring infinitely often is even.  A play that
 reaches a dead end is lost by the dead end's owner.  Both players win
 positionally, so strategies are position-to-successor maps.
 
+A ParityGame is a name table over int arrays.  Position i is named
+positions[i]; owners[i], prios[i] and succs[i] hold its owner, priority
+and successor ids, and `index` maps names back to ids.  Names are any
+hashable values.  explore() and game_from_text() fill the arrays directly,
+solve() and verify_strategy() run on them, and names are read only to take
+a name in or hand one back.
+
 solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
 so games with any number of distinct priorities solve; dead ends are
@@ -30,7 +37,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 EVE = 0
 ADAM = 1
@@ -40,53 +49,110 @@ class GameError(ValueError):
     """Malformed game, strategy or document."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParityGame:
-    """Finite game graph.  Position order is the deterministic tie-break
-    order used by the solver, so equal inputs give equal outputs."""
+    """Finite game graph: a name table over int arrays.
+
+    Position i is named positions[i], is owned by owners[i], has priority
+    prios[i] and moves to the ids succs[i]; `index` maps each name back to
+    its id.  Id order is the deterministic tie-break order used by the
+    solver, so equal inputs give equal outputs.
+
+    ParityGame(positions, owner, priority, successors) takes name-keyed
+    mappings, validates and converts them.  The name-keyed `owner`,
+    `priority` and `successors` stay readable as read-only mappings, built
+    on first access."""
 
     positions: tuple
-    owner: dict
-    priority: dict
-    successors: dict
+    owners: tuple
+    prios: tuple
+    succs: tuple
+    index: dict = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if len(set(self.positions)) != len(self.positions):
+    def __init__(self, positions, owner, priority, successors):
+        positions = tuple(positions)
+        index = {v: i for i, v in enumerate(positions)}
+        if len(index) != len(positions):
             raise GameError("duplicate positions")
-        pos = set(self.positions)
-        for v in self.positions:
-            if self.owner.get(v) not in (EVE, ADAM):
-                raise GameError(f"position {v!r}: owner must be 0 (Eve) or 1 (Adam)")
-            p = self.priority.get(v)
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise GameError(f"position {v!r}: priority must be a nonnegative integer")
-            succs = self.successors.get(v)
-            if succs is None:
+        owners, prios, succs = [], [], []
+        for v in positions:
+            o, p = owner.get(v), priority.get(v)
+            _check_labels((v,), (o,), (p,))
+            names = successors.get(v)
+            if names is None:
                 raise GameError(f"position {v!r}: no successor list")
-            for w in succs:
-                if w not in pos:
-                    raise GameError(f"position {v!r}: successor {w!r} is not a position")
-        object.__setattr__(self, "successors", {v: tuple(self.successors[v]) for v in self.positions})
-        object.__setattr__(self, "owner", {v: self.owner[v] for v in self.positions})
-        object.__setattr__(self, "priority", {v: self.priority[v] for v in self.positions})
+            owners.append(o)
+            prios.append(p)
+            succs.append(_ids(v, tuple(names), index))
+        self._fill(positions, index, owners, prios, succs)
+
+    @classmethod
+    def _of(cls, positions, index, owners, prios, succs):
+        # From arrays already checked, bypassing the name-keyed constructor.
+        g = object.__new__(cls)
+        g._fill(positions, index, owners, prios, succs)
+        return g
+
+    def _fill(self, positions, index, owners, prios, succs):
+        self.__dict__.update(positions=tuple(positions), index=index, owners=tuple(owners),
+                             prios=tuple(prios), succs=tuple(succs))
+
+    @cached_property
+    def owner(self):
+        return MappingProxyType(dict(zip(self.positions, self.owners)))
+
+    @cached_property
+    def priority(self):
+        return MappingProxyType(dict(zip(self.positions, self.prios)))
+
+    @cached_property
+    def successors(self):
+        names = self.positions
+        return MappingProxyType(
+            {v: tuple(names[j] for j in s) for v, s in zip(names, self.succs)})
+
+
+def _check_labels(positions, owners, prios):
+    # The counts and type set test every label in C; the loop only runs to
+    # name the first bad position.
+    if (owners.count(EVE) + owners.count(ADAM) == len(owners)
+            and set(map(type, prios)) <= {int} and min(prios, default=0) >= 0):
+        return
+    for v, o, p in zip(positions, owners, prios):
+        if o not in (EVE, ADAM):
+            raise GameError(f"position {v!r}: owner must be 0 (Eve) or 1 (Adam)")
+        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            raise GameError(f"position {v!r}: priority must be a nonnegative integer")
+
+
+def _ids(v, names, index):
+    # Successor names of position v as ids.
+    ids = tuple(map(index.get, names))
+    if None in ids:
+        w = names[ids.index(None)]
+        raise GameError(f"position {v!r}: successor {w!r} is not a position")
+    return ids
 
 
 def explore(start, expand) -> ParityGame:
-    """Game reachable from `start`, positions in breadth-first discovery order.
+    """Game reachable from `start`, ids handed out in breadth-first
+    discovery order.
 
     expand(pos) returns (owner, priority, successors)."""
     positions = [start]
-    seen = {start}
-    owner, priority, successors = {}, {}, {}
+    index = {start: 0}
+    owners, prios, succs = [], [], []
     for pos in positions:
-        owner[pos], priority[pos], succs = expand(pos)
-        successors[pos] = succs
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
+        o, p, names = expand(pos)
+        owners.append(o)
+        prios.append(p)
+        for nxt in names:
+            if nxt not in index:
+                index[nxt] = len(positions)
                 positions.append(nxt)
-    return ParityGame(tuple(positions), owner, priority, successors)
+        succs.append(tuple(map(index.__getitem__, names)))
+    _check_labels(positions, owners, prios)
+    return ParityGame._of(positions, index, owners, prios, succs)
 
 
 @dataclass(frozen=True)
@@ -196,20 +262,16 @@ def _zielonka(m, owner, prio, succ, pred):
 def solve(g: ParityGame) -> SolveResult:
     """Winning regions and positional winning strategies for both players."""
     n = len(g.positions)
-    index = {v: i for i, v in enumerate(g.positions)}
-    owner = [g.owner[v] for v in g.positions]
-    prio = [g.priority[v] for v in g.positions]
-    succ = [[index[w] for w in g.successors[v]] for v in g.positions]
+    owner, prio, succ = g.owners, g.prios, g.succs
 
     # Route dead ends to a sink loop of the parity that loses for the owner.
-    if any(not s for s in succ):
+    if not all(succ):
         sink_even, sink_odd = n, n + 1
-        owner += [ADAM, EVE]
-        prio += [0, 1]
-        for i in range(n):
-            if not succ[i]:
-                succ[i] = [sink_odd if owner[i] == EVE else sink_even]
-        succ += [[sink_even], [sink_odd]]
+        owner += (ADAM, EVE)
+        prio += (0, 1)
+        succ = [s or ((sink_odd,) if owner[i] == EVE else (sink_even,))
+                for i, s in enumerate(succ)]
+        succ += [(sink_even,), (sink_odd,)]
     m = len(succ)
 
     pred = [[] for _ in range(m)]
@@ -220,13 +282,14 @@ def solve(g: ParityGame) -> SolveResult:
     win, strat = _zielonka(m, owner, prio, succ, pred)
     assert win[EVE].isdisjoint(win[ADAM]) and len(win[EVE]) + len(win[ADAM]) == m
 
+    # Sinks and the moves of dead ends into them are dropped; every other
+    # chosen move is a real edge.
+    names = g.positions
+
     def back(player):
-        region = frozenset(g.positions[i] for i in win[player] if i < n)
-        choice = {
-            g.positions[i]: g.positions[j]
-            for i, j in strat[player].items()
-            if i < n and j < n and g.successors[g.positions[i]]
-        }
+        region = frozenset([names[i] for i in win[player] if i < n])
+        choice = {names[i]: names[j] for i, j in strat[player].items()
+                  if i < n and g.succs[i]}
         return region, Strategy(player, choice)
 
     eve_region, eve_strategy = back(EVE)
@@ -385,29 +448,34 @@ def verify_strategy(g: ParityGame, strategy: Strategy, region, diagnostics=None)
         return False
 
     player = strategy.player
-    region = set(region)
-    restricted = {}
-    for v in region:
-        if v not in g.priority:
+    names, index, succs = g.positions, g.index, g.succs
+    ids = set()
+    for v in set(region):
+        i = index.get(v)
+        if i is None:
             return fail(f"{v!r} is not a position")
-        succs = g.successors[v]
-        if g.owner[v] == player:
-            if not succs:
+        ids.add(i)
+    restricted = {}
+    for i in ids:
+        v, succ = names[i], succs[i]
+        if g.owners[i] == player:
+            if not succ:
                 return fail(f"{v!r}: dead end owned by the strategy's player")
             choice = strategy.choice.get(v)
             if choice is None:
                 return fail(f"{v!r}: no move chosen")
-            if choice not in succs:
+            j = index.get(choice)
+            if j not in succ:
                 return fail(f"{v!r}: chosen move {choice!r} is not an edge")
-            if choice not in region:
+            if j not in ids:
                 return fail(f"{v!r}: chosen move leaves the region")
-            restricted[v] = (choice,)
+            restricted[i] = (j,)
         else:
-            for w in succs:
-                if w not in region:
-                    return fail(f"{v!r}: opponent can leave the region via {w!r}")
-            restricted[v] = succs
-    if has_cycle_with_max_parity(region, lambda v: restricted[v], g.priority, 1 - player):
+            for j in succ:
+                if j not in ids:
+                    return fail(f"{v!r}: opponent can leave the region via {names[j]!r}")
+            restricted[i] = succ
+    if has_cycle_with_max_parity(ids, restricted.__getitem__, g.prios, 1 - player):
         return fail("cycle with unfavorable maximal priority")
     return True
 
@@ -418,31 +486,23 @@ def verify_strategy(g: ParityGame, strategy: Strategy, region, diagnostics=None)
 def relabel_positions(g: ParityGame):
     """Copy of the game on integer ids 0..n-1 (position order), with the map
     from original positions to new ids."""
-    index = {v: i for i, v in enumerate(g.positions)}
-    relabeled = ParityGame(
-        tuple(range(len(g.positions))),
-        {index[v]: g.owner[v] for v in g.positions},
-        {index[v]: g.priority[v] for v in g.positions},
-        {index[v]: tuple(index[w] for w in g.successors[v]) for v in g.positions},
-    )
-    return relabeled, index
+    ids = tuple(range(len(g.positions)))
+    relabeled = ParityGame._of(ids, dict(zip(ids, ids)), g.owners, g.prios, g.succs)
+    return relabeled, dict(g.index)
 
 
 def game_to_text(g: ParityGame) -> str:
     """Serialize; games with non-integer ids are relabeled, the original id
     surviving as the record's name."""
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in g.positions):
-        relabeled, names = g, None
-    else:
-        relabeled, index = relabel_positions(g)
-        names = {index[v]: str(v) for v in g.positions}
-    lines = [f"parity {max(relabeled.positions, default=0)};"]
-    for v in sorted(relabeled.positions):
-        parts = [str(v), str(relabeled.priority[v]), str(relabeled.owner[v])]
-        if relabeled.successors[v]:
-            parts.append(",".join(str(w) for w in relabeled.successors[v]))
-        if names is not None:
-            parts.append(f'"{names[v]}"')
+    named = not all(isinstance(v, int) and not isinstance(v, bool) for v in g.positions)
+    ids = range(len(g.positions)) if named else g.positions
+    lines = [f"parity {max(ids, default=0)};"]
+    for i in sorted(range(len(ids)), key=ids.__getitem__):
+        parts = [str(ids[i]), str(g.prios[i]), str(g.owners[i])]
+        if g.succs[i]:
+            parts.append(",".join(str(ids[j]) for j in g.succs[i]))
+        if named:
+            parts.append(f'"{g.positions[i]!s}"')
         lines.append(" ".join(parts) + ";")
     return "\n".join(lines) + "\n"
 
@@ -453,7 +513,7 @@ _RECORD = re.compile(
 
 def game_from_text(text: str) -> ParityGame:
     """Parse the text format.  Errors carry the 1-based line number."""
-    positions, owner, priority, successors = [], {}, {}, {}
+    records = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -470,38 +530,38 @@ def game_from_text(text: str) -> ParityGame:
         m = _RECORD.fullmatch(line)
         if m is None:
             raise GameError(f"line {lineno}: malformed position record")
-        v = int(m.group(1))
-        if v in owner:
+        v, p, o, moves, _ = m.groups()
+        v = int(v)
+        if v in records:
             raise GameError(f"line {lineno}: duplicate position {v}")
-        positions.append(v)
-        priority[v] = int(m.group(2))
-        owner[v] = int(m.group(3))
-        field = m.group(4).strip()
-        successors[v] = tuple(int(s) for s in field.split(",")) if field else ()
+        records[v] = (int(o), int(p), tuple(map(int, moves.split(","))) if moves else ())
     if not header_seen:
         raise GameError("line 1: expected header 'parity N;'")
+    positions = sorted(records)
+    index = {v: i for i, v in enumerate(positions)}
+    rows = [records[v] for v in positions]
+    owners, prios, named = zip(*rows) if rows else ((), (), ())
     try:
-        return ParityGame(tuple(sorted(positions)), owner, priority, successors)
+        succs = [_ids(v, s, index) for v, s in zip(positions, named)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
+    return ParityGame._of(positions, index, owners, prios, succs)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:
     """DOT rendering; Eve positions are ellipses, Adam positions boxes, and
     winning regions are colored when a solve result is supplied."""
-    index = {v: i for i, v in enumerate(g.positions)}
     lines = ["digraph parity {"]
-    for v in g.positions:
-        i = index[v]
-        shape = "ellipse" if g.owner[v] == EVE else "box"
-        attrs = [f'label="{v}:{g.priority[v]}"', f"shape={shape}"]
+    for i, v in enumerate(g.positions):
+        shape = "ellipse" if g.owners[i] == EVE else "box"
+        attrs = [f'label="{v}:{g.prios[i]}"', f"shape={shape}"]
         if result is not None:
             color = "lightblue" if v in result.eve_region else "lightsalmon"
             attrs.append("style=filled")
             attrs.append(f"fillcolor={color}")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for v in g.positions:
-        for w in g.successors[v]:
-            lines.append(f"  n{index[v]} -> n{index[w]};")
+    for i, succ in enumerate(g.succs):
+        for j in succ:
+            lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

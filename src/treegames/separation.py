@@ -171,27 +171,30 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     if start not in res.eve_region:
         raise EmptyLanguage("language is empty")
 
-    options = {}
-    for pos in game.positions:
-        if pos[0] == "s" and pos in res.eve_region:
-            options[pos] = [w for w in game.successors[pos] if w in res.eve_region]
+    # Draws and walks run on ids; the start is id 0.  Eve's region holds
+    # her chosen moves and all of Adam's, so every state position the walk
+    # meets has a choice.  A strategy is named only when it is verified.
+    names, succs = game.positions, game.succs
+    won = [pos in res.eve_region for pos in names]
+    options = {i: [j for j in succs[i] if won[j]]
+               for i, pos in enumerate(names) if pos[0] == "s" and won[i]}
 
     rng = random.Random(seed)
     trees: list[RegularTree] = []
     tried = set()
     budget = max(100, 20 * n)
     for _ in range(budget):
-        choice = {pos: rng.choice(opts) for pos, opts in options.items()}
-        reach = {start}
-        frontier = [start]
+        choice = {i: rng.choice(opts) for i, opts in options.items()}
+        reach = {0}
+        frontier = [0]
         moves = []
         while frontier:
-            pos = frontier.pop()
-            if pos[0] == "s":
-                moves.append(choice[pos])
-                nxts = (choice[pos],)
+            i = frontier.pop()
+            if i in choice:
+                moves.append(choice[i])
+                nxts = (choice[i],)
             else:
-                nxts = game.successors[pos]
+                nxts = succs[i]
             for nxt in nxts:
                 if nxt not in reach:
                     reach.add(nxt)
@@ -204,9 +207,10 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
         if moves in tried:
             continue
         tried.add(moves)
-        if not verify_strategy(game, Strategy(EVE, choice), reach):
+        named = {names[i]: names[j] for i, j in choice.items()}
+        if not verify_strategy(game, Strategy(EVE, named), [names[i] for i in reach]):
             continue
-        t = strategy_tree(a, choice)
+        t = strategy_tree(a, named)
         if not any(bisimilar(t, u) for u in trees):
             trees.append(t)
             if len(trees) == n:

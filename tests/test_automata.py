@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from treegames.trees import RegularTree, bisimilar, constant_tree, random_regular_tree
+from treegames.trees import RegularTree, constant_tree, random_regular_tree
 from treegames.games import brute_force_solve
 from treegames.automata import (
     APTA,

@@ -3,6 +3,7 @@ which enumerates positional strategies and evaluates forced lassos; the
 solver must match it exactly."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -13,6 +14,7 @@ from treegames.games import (
     ParityGame,
     Strategy,
     brute_force_solve,
+    explore,
     game_from_text,
     game_to_dot,
     game_to_text,
@@ -178,7 +180,82 @@ def test_game_construction_validation():
     with pytest.raises(GameError):
         game({0: EVE}, {0: -1}, {0: ()})  # negative priority
     with pytest.raises(GameError):
+        game({0: EVE}, {0: True}, {0: ()})  # boolean priority
+    with pytest.raises(GameError):
         game({0: EVE}, {0: 0}, {0: (1,)})  # unknown successor
+    with pytest.raises(GameError, match="duplicate positions"):
+        ParityGame((0, 0), {0: EVE}, {0: 0}, {0: ()})
+
+
+def test_explore_and_parse_name_the_first_bad_position():
+    # Labels are checked in breadth-first order, owner before priority.
+    succ = {"r": ("a", "b"), "a": ("c",), "b": ("r",), "c": ()}
+    cases = (
+        (lambda v: ({"b": 2, "c": 7}.get(v, EVE), {"c": -1}.get(v, 0), succ[v]),
+         "position 'b': owner must be 0 (Eve) or 1 (Adam)"),
+        (lambda v: (EVE, {"a": True, "b": -3}.get(v, 1), succ[v]),
+         "position 'a': priority must be a nonnegative integer"),
+    )
+    for expand, message in cases:
+        with pytest.raises(GameError) as exc:
+            explore("r", expand)
+        assert str(exc.value) == message
+    with pytest.raises(GameError) as exc:
+        game_from_text("parity 1;\n0 1 0 0,5;\n")
+    assert str(exc.value) == "inconsistent game: position 0: successor 5 is not a position"
+
+
+def test_explore_gives_ids_in_breadth_first_discovery_order():
+    succ = {"r": ("a", "b"), "a": ("c", "b"), "b": ("r", "r"), "c": ("d", "c"), "d": ()}
+    g = explore("r", lambda v: (EVE, 0, succ[v]))
+    assert g.positions == ("r", "a", "b", "c", "d")
+    assert g.index == {"r": 0, "a": 1, "b": 2, "c": 3, "d": 4}
+    assert g.succs == ((1, 2), (3, 2), (0, 0), (4, 3), ())
+    assert dict(g.successors) == succ
+
+    rng = random.Random(413)
+    for trial in range(200):
+        n = rng.randint(1, 12)
+        edges = {i: tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))
+                 for i in range(n)}
+        order, queue = [0], deque([0])
+        while queue:
+            for w in edges[queue.popleft()]:
+                if w not in order:
+                    order.append(w)
+                    queue.append(w)
+        g = explore(0, lambda v: (v % 2, v, edges[v]))
+        assert g.positions == tuple(order), (trial, edges)
+        assert g.succs == tuple(tuple(order.index(w) for w in edges[v]) for v in order)
+
+
+def test_solve_is_independent_of_position_names():
+    # Renaming the positions, in the same order, renames the result: both
+    # regions, and both strategy maps in their insertion order.  The games
+    # have dead ends and duplicate edges.
+    rng = random.Random(412)
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        g = ParityGame(
+            tuple(range(n)),
+            {i: rng.randint(0, 1) for i in range(n)},
+            {i: rng.randint(0, 5) for i in range(n)},
+            {i: tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))
+             for i in range(n)})
+        sparse = rng.sample(range(10 * n), n)
+        for name in ((lambda i: ("p", i, str(i))), str, sparse.__getitem__):
+            renamed = ParityGame(
+                tuple(map(name, g.positions)),
+                {name(v): o for v, o in g.owner.items()},
+                {name(v): p for v, p in g.priority.items()},
+                {name(v): tuple(map(name, s)) for v, s in g.successors.items()})
+            want, got = solve(g), solve(renamed)
+            assert got.eve_region == frozenset(map(name, want.eve_region)), (trial, g)
+            assert got.adam_region == frozenset(map(name, want.adam_region)), (trial, g)
+            for mine, theirs in ((got.eve_strategy, want.eve_strategy),
+                                 (got.adam_strategy, want.adam_strategy)):
+                assert list(mine.choice.items()) == [
+                    (name(v), name(w)) for v, w in theirs.choice.items()], (trial, g)
 
 
 def test_text_format_round_trip():

@@ -18,7 +18,6 @@ from treegames.automata import BINARY, DUALITY, GAME_ALPHABET, builtin, member
 from treegames.gamelang import (
     ALL_EXISTS_ZERO,
     ALL_FORALL_ONE,
-    BorelCode,
     Cyl,
     GameLabel,
     Neg,

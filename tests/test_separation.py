@@ -7,14 +7,12 @@ import pytest
 from treegames.trees import bisimilar, constant_tree, random_regular_tree, tree_to_json
 from treegames.automata import (
     BINARY,
-    BIT_SWAP,
     BUILTIN_NAMES,
     NPTA,
     builtin,
     is_buchi,
     member,
     member_alt,
-    rename_automaton,
     witness,
 )
 from treegames.separation import (
