@@ -86,6 +86,7 @@ from .gamelang import (
     in_w01,
     in_w01_prime,
     parity_lang_member,
+    read_depth,
     reduce_borel,
 )
 from .separation import (

@@ -318,13 +318,10 @@ class Formula:
 
 
 @dataclass(frozen=True)
-class TrueFormula(Formula):
-    pass
+class Constant(Formula):
+    """TRUE or FALSE: the formula that holds, or fails, outright."""
 
-
-@dataclass(frozen=True)
-class FalseFormula(Formula):
-    pass
+    value: bool
 
 
 @dataclass(frozen=True)
@@ -343,39 +340,35 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Junction(Formula):
+    # The body And and Or share; equality also compares the class.
     parts: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
-            raise AutomatonError("And needs at least one part")
+            raise AutomatonError(f"{type(self).__name__} needs at least one part")
         object.__setattr__(self, "_hash", hash((self.parts,)))
 
     __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise AutomatonError("Or needs at least one part")
-        object.__setattr__(self, "_hash", hash((self.parts,)))
-
-    __hash__ = Formula.__hash__
+class And(_Junction):
+    """Conjunction of its parts; Adam picks one."""
 
 
-TRUE = TrueFormula()
-FALSE = FalseFormula()
+class Or(_Junction):
+    """Disjunction of its parts; Eve picks one."""
+
+
+TRUE = Constant(True)
+FALSE = Constant(False)
 
 
 def _formula_states(f: Formula):
     if isinstance(f, Atom):
         yield f.state
-    elif isinstance(f, (And, Or)):
+    elif isinstance(f, _Junction):
         for part in f.parts:
             yield from _formula_states(part)
 
@@ -407,8 +400,8 @@ class APTA:
 
 def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
     """Eve resolves disjunctions, Adam conjunctions; an Atom advances to the
-    child state position.  TrueFormula strands Adam and FalseFormula strands
-    Eve, so they are winning and losing sinks for Eve.  Every position
+    child state position.  TRUE strands Adam and FALSE strands Eve, so
+    they are winning and losing sinks for Eve.  Every position
     carries the rank of its governing state."""
     _check_tree_alphabet(a, t)
 
@@ -418,10 +411,8 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
         if pos[0] == "s":
             return EVE, rank, (("f", q, v, a.delta[q, t.label[v]]),)
         f = pos[3]
-        if isinstance(f, TrueFormula):
-            return ADAM, rank, ()
-        if isinstance(f, FalseFormula):
-            return EVE, rank, ()
+        if isinstance(f, Constant):
+            return (ADAM if f.value else EVE), rank, ()
         if isinstance(f, Atom):
             return EVE, rank, (("s", f.state, t.step(v, f.direction)),)
         owner = EVE if isinstance(f, Or) else ADAM
@@ -582,20 +573,21 @@ def builtin(name: str) -> NPTA:
 # ---------------------------------------------------------------------------
 # Serialization.
 
+def _automaton_doc(a, key: str, entries: list) -> dict:
+    """The header fields NPTA and APTA documents share, plus `key` holding
+    the transitions or the delta entries."""
+    return {"alphabet": list(a.alphabet.symbols), "states": list(a.states),
+            "initial": a.initial, "ranks": dict(a.rank), key: entries}
+
+
 def automaton_to_json(a: NPTA) -> dict:
-    return {
-        "alphabet": list(a.alphabet.symbols),
-        "states": list(a.states),
-        "initial": a.initial,
-        "transitions": [
-            {"from": q, "letter": letter, "left": l, "right": r}
-            for q, letter, l, r in a.transitions
-        ],
-        "ranks": dict(a.rank),
-    }
+    return _automaton_doc(a, "transitions", [
+        {"from": q, "letter": letter, "left": l, "right": r}
+        for q, letter, l, r in a.transitions
+    ])
 
 
-def _header(doc) -> tuple:
+def _header_from_json(doc) -> tuple:
     """Alphabet, states, initial state and ranks of either automaton
     document."""
     try:
@@ -609,7 +601,7 @@ def _header(doc) -> tuple:
 
 
 def automaton_from_json(doc: dict) -> NPTA:
-    alphabet, states, initial, ranks = _header(doc)
+    alphabet, states, initial, ranks = _header_from_json(doc)
     transitions = []
     for entry in doc_field(doc, "transitions", list, "automaton", AutomatonError):
         transitions.append((
@@ -622,10 +614,8 @@ def automaton_from_json(doc: dict) -> NPTA:
 
 
 def formula_to_json(f: Formula):
-    if isinstance(f, TrueFormula):
-        return {"op": "true"}
-    if isinstance(f, FalseFormula):
-        return {"op": "false"}
+    if isinstance(f, Constant):
+        return {"op": "true" if f.value else "false"}
     if isinstance(f, Atom):
         return {"op": "atom", "direction": f.direction, "state": f.state}
     op = "and" if isinstance(f, And) else "or"
@@ -634,10 +624,8 @@ def formula_to_json(f: Formula):
 
 def formula_from_json(doc) -> Formula:
     op = doc_field(doc, "op", str, "formula", AutomatonError)
-    if op == "true":
-        return TRUE
-    if op == "false":
-        return FALSE
+    if op in ("true", "false"):
+        return TRUE if op == "true" else FALSE
     if op == "atom":
         return Atom(doc_field(doc, "direction", str, "formula", AutomatonError),
                     doc_field(doc, "state", str, "formula", AutomatonError))
@@ -649,21 +637,15 @@ def formula_from_json(doc) -> Formula:
 
 
 def apta_to_json(a: APTA) -> dict:
-    return {
-        "alphabet": list(a.alphabet.symbols),
-        "states": list(a.states),
-        "initial": a.initial,
-        "delta": [
-            {"state": q, "letter": letter, "formula": formula_to_json(a.delta[q, letter])}
-            for q in a.states
-            for letter in a.alphabet
-        ],
-        "ranks": dict(a.rank),
-    }
+    return _automaton_doc(a, "delta", [
+        {"state": q, "letter": letter, "formula": formula_to_json(a.delta[q, letter])}
+        for q in a.states
+        for letter in a.alphabet
+    ])
 
 
 def apta_from_json(doc: dict) -> APTA:
-    alphabet, states, initial, ranks = _header(doc)
+    alphabet, states, initial, ranks = _header_from_json(doc)
     delta = {}
     for entry in doc_field(doc, "delta", list, "automaton", AutomatonError):
         key = (doc_field(entry, "state", str, "delta entry", AutomatonError),

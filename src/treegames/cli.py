@@ -5,7 +5,7 @@ prints one JSON document to stdout, and exits with:
 
     0   success / positive decision
     1   negative decision (non-member, empty language, failed report)
-    2   input error (unreadable file, schema violation, bad flag value)
+    2   input error (unreadable, malformed or over-deep file, bad flag value)
     3   precondition failure (separator requested for overlapping languages,
         sampling an empty language)
 
@@ -80,10 +80,6 @@ def _emit(doc, out_path=None, artifact=None) -> None:
         sys.stdout.write(text)
         if fh:
             fh.write(text if artifact is None else doc_text(artifact))
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 def _load_npta(ref: str) -> NPTA:
@@ -281,6 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", metavar="FILE", default=None,
                        help="also write the artifact to FILE")
 
+    def automaton_flag(p):
+        p.add_argument("--automaton", required=True, metavar="FILE",
+                       help="automaton JSON file or builtin name")
+
     p = sub.add_parser("solve", help="solve a parity game (text format)")
     p.add_argument("--game", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", default=None,
@@ -289,20 +289,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("member", help="run-based membership test")
-    p.add_argument("--automaton", required=True, metavar="FILE",
-                   help="automaton JSON file or builtin name")
+    automaton_flag(p)
     p.add_argument("--tree", required=True, metavar="FILE")
     output_flag(p)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("member-alt", help="acceptance-game membership test")
-    p.add_argument("--automaton", required=True, metavar="FILE")
+    automaton_flag(p)
     p.add_argument("--tree", required=True, metavar="FILE")
     output_flag(p)
     p.set_defaults(func=cmd_member_alt)
 
     p = sub.add_parser("empty", help="emptiness test with witness tree")
-    p.add_argument("--automaton", required=True, metavar="FILE")
+    automaton_flag(p)
     output_flag(p)
     p.set_defaults(func=cmd_empty)
 
@@ -341,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("sample", help="sample distinct members of a language")
-    p.add_argument("--automaton", required=True, metavar="FILE")
+    automaton_flag(p)
     p.add_argument("--samples", type=int, default=10, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     output_flag(p)
@@ -371,10 +370,10 @@ def main(argv=None) -> int:
         _emit({"error": "languages are not disjoint",
                "witness": tree_to_json(exc.tree)})
         return 3
-    except (ValueError, OSError) as exc:
-        # unreadable files, TreeError, GameError, AutomatonError, bad schemas;
-        # sampling an empty language is a precondition failure
-        _fail(str(exc))
+    except (ValueError, OSError, RecursionError) as exc:
+        # unreadable files, TreeError, GameError, AutomatonError, bad schemas,
+        # over-deep documents; sampling an empty language is a precondition failure
+        print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EmptyLanguage) else 2
 
 

@@ -90,11 +90,9 @@ def in_w01_prime(t: RegularTree) -> bool:
 # Borel codes.
 
 class BorelCode:
-    __slots__ = ()
+    """A set description: a Cyl, Neg or Union."""
 
-    @property
-    def rank(self) -> int:
-        raise NotImplementedError
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,8 @@ def reduce_borel(code: BorelCode, t: RegularTree) -> RegularTree:
     Cylinders collapse to the constant witnesses, complement is the duality
     renaming, and unions hang the member reductions off an Eve spine with
     bit 1: Eve wins by leaving the spine into a member that holds, and loses
-    strongly if she stays (bit 1 forever) or enters a member that fails.
+    strongly if she stays (bit 1 forever) or enters a member that fails.  A
+    union without a tail repeats ALL_FORALL_ONE, the empty set's image.
     """
     _require_game_alphabet(t)
     if isinstance(code, Cyl):
@@ -178,7 +177,7 @@ def reduce_borel(code: BorelCode, t: RegularTree) -> RegularTree:
         return rename_tree(reduce_borel(code.of, t), DUALITY)
     if isinstance(code, Union):
         head = [reduce_borel(c, t) for c in code.head]
-        tail = reduce_borel(code.tail, t) if code.tail is not None else None
+        tail = ALL_FORALL_ONE if code.tail is None else reduce_borel(code.tail, t)
         return graft_spine(head, tail, "(E,1)")
     raise TreeError(f"not a Borel code: {code!r}")
 

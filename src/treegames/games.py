@@ -297,11 +297,12 @@ def solve(g: ParityGame) -> SolveResult:
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
 
 
-def brute_force_solve(g: ParityGame, bound: int = 10 ** 6) -> SolveResult:
+def brute_force_solve(g: ParityGame) -> SolveResult:
     """Oracle solver: enumerate positional strategy pairs, walk the forced
     lasso from every position, take the minimax.  Positional determinacy
     makes this exact.  Refuses games whose strategy-pair count (product of
-    out-degrees over owned non-dead-end positions) exceeds `bound`."""
+    out-degrees over owned non-dead-end positions) exceeds a million."""
+    bound = 10 ** 6
     eve_pos = [v for v in g.positions if g.owner[v] == EVE and g.successors[v]]
     adam_pos = [v for v in g.positions if g.owner[v] == ADAM and g.successors[v]]
     total = 1
@@ -483,17 +484,10 @@ def verify_strategy(g: ParityGame, strategy: Strategy, region, diagnostics=None)
 # ---------------------------------------------------------------------------
 # Text format and DOT export.
 
-def relabel_positions(g: ParityGame):
-    """Copy of the game on integer ids 0..n-1 (position order), with the map
-    from original positions to new ids."""
-    ids = tuple(range(len(g.positions)))
-    relabeled = ParityGame._of(ids, dict(zip(ids, ids)), g.owners, g.prios, g.succs)
-    return relabeled, dict(g.index)
-
-
 def game_to_text(g: ParityGame) -> str:
     """Serialize; games with non-integer ids are relabeled, the original id
-    surviving as the record's name."""
+    surviving as the record's name, with `"` written as `'` and line breaks
+    as spaces so that the record parses."""
     named = not all(isinstance(v, int) and not isinstance(v, bool) for v in g.positions)
     ids = range(len(g.positions)) if named else g.positions
     lines = [f"parity {max(ids, default=0)};"]
@@ -502,7 +496,8 @@ def game_to_text(g: ParityGame) -> str:
         if g.succs[i]:
             parts.append(",".join(str(ids[j]) for j in g.succs[i]))
         if named:
-            parts.append(f'"{g.positions[i]!s}"')
+            name = " ".join(str(g.positions[i]).replace('"', "'").splitlines())
+            parts.append(f'"{name}"')
         lines.append(" ".join(parts) + ";")
     return "\n".join(lines) + "\n"
 

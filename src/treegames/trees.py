@@ -20,17 +20,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 LEFT = "1"
 RIGHT = "2"
 DIRECTIONS = (LEFT, RIGHT)
-
-# Filler used by graft_spine when no explicit tail is given: the constant
-# tree on this symbol (the strong-win-for-Adam constant of the game alphabet).
-DEFAULT_TAIL_LABEL = "(A,1)"
 
 
 class TreeError(ValueError):
@@ -87,12 +82,9 @@ class RegularTree:
     def __post_init__(self):
         if self.root not in self.label:
             raise TreeError(f"root {self.root!r} has no label")
-        order = []
+        order = [self.root]
         seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        for v in order:
             for child_map, side in ((self.left, "left"), (self.right, "right")):
                 if v not in child_map:
                     raise TreeError(f"node {v!r} has no {side} child")
@@ -101,7 +93,7 @@ class RegularTree:
                     raise TreeError(f"{side} child {c!r} of {v!r} is not a labeled node")
                 if c not in seen:
                     seen.add(c)
-                    queue.append(c)
+                    order.append(c)
         for v in order:
             if self.label[v] not in self.alphabet:
                 raise TreeError(f"label {self.label[v]!r} of node {v!r} is not in the alphabet")
@@ -226,23 +218,15 @@ def graft_spine(subtrees_head, subtrees_tail, spine_label: str) -> RegularTree:
     The result carries `spine_label` on every node 2^n of the rightmost
     branch; node 2^n 1 roots subtrees_head[n] while the head lasts, and one
     shared copy of subtrees_tail beyond it (the spine loops there, keeping
-    the result regular).  With subtrees_tail=None the constant tree on
-    DEFAULT_TAIL_LABEL fills in.
+    the result regular).  The result takes the first input's alphabet.
     """
     head = list(subtrees_head)
-    inputs = head + ([subtrees_tail] if subtrees_tail is not None else [])
-    if not inputs:
-        raise TreeError("graft_spine needs at least one subtree")
-    alphabet = inputs[0].alphabet
-    for t in inputs[1:]:
+    alphabet = (head[0] if head else subtrees_tail).alphabet
+    for t in head + [subtrees_tail]:
         if not same_symbols(t.alphabet, alphabet):
             raise TreeError("graft_spine inputs must share an alphabet")
     if spine_label not in alphabet:
         raise TreeError(f"spine label {spine_label!r} is not in the alphabet")
-    if subtrees_tail is None:
-        if DEFAULT_TAIL_LABEL not in alphabet:
-            raise TreeError(f"no tail given and {DEFAULT_TAIL_LABEL!r} is not in the alphabet")
-        subtrees_tail = constant_tree(alphabet, DEFAULT_TAIL_LABEL)
 
     label, left, right = {}, {}, {}
 

@@ -21,8 +21,8 @@ from treegames.trees import (
 from treegames.games import (
     ParityGame,
     brute_force_solve,
+    game_from_text,
     game_to_text,
-    relabel_positions,
     solve,
 )
 from treegames.automata import (
@@ -256,8 +256,8 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         assert automaton_from_json(json.loads(out)) == builtin(name)
 
     # Game text round-trips through the solver with identical regions.
-    g, _ = relabel_positions(
-        membership_game(builtin("W01"), constant_tree(GAME_ALPHABET, "(E,0)")))
+    g = game_from_text(game_to_text(
+        membership_game(builtin("W01"), constant_tree(GAME_ALPHABET, "(E,0)"))))
     game_path = tmp_path / "g.txt"
     game_path.write_text(game_to_text(g))
     code, out, _ = run("solve", "--game", str(game_path))

@@ -1,6 +1,9 @@
 """Nondeterministic and alternating parity tree automata."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +81,8 @@ def test_npta_validation():
         NPTA(BINARY, ("q",), "q", (), {"q": -1})
     with pytest.raises(AutomatonError):
         NPTA(BINARY, ("q",), "q", (), {})  # rank not total
+    with pytest.raises(AutomatonError, match="duplicate states"):
+        NPTA(BINARY, ("q", "q"), "q", (), {"q": 0})
 
 
 def test_transitions_are_sorted_and_deduped():
@@ -143,6 +148,8 @@ def test_builtin_M01_table():
     assert builtin("Mik(1,3)").states == ("1", "2", "3")
     with pytest.raises(AutomatonError):
         builtin("Mik(2,3)")
+    with pytest.raises(AutomatonError, match="empty rank range"):
+        builtin("Mik(1,0)")
     with pytest.raises(AutomatonError):
         builtin("nope")
 
@@ -337,6 +344,8 @@ def test_apta_validation():
     delta = {("q", "0"): Atom("1", "zz"), ("q", "1"): TRUE}
     with pytest.raises(AutomatonError):
         APTA(BINARY, ("q",), "q", delta, {"q": 0})  # formula names unknown state
+    with pytest.raises(AutomatonError, match="is not a formula"):
+        APTA(BINARY, ("q",), "q", {("q", "0"): TRUE, ("q", "1"): True}, {"q": 0})
     # The header checks NPTA makes too.
     always = {("q", "0"): TRUE, ("q", "1"): TRUE}
     good = apta_to_json(APTA(BINARY, ("q",), "q", always, {"q": 0}))
@@ -444,6 +453,20 @@ def test_equal_formulas_hash_equal():
         back = formula_from_json(formula_to_json(h))
         assert back == h and hash(back) == hash(h)
     assert len({f, g, formula_from_json(formula_to_json(f))}) == 1
+    # Unpickled under another string hash seed, a formula hashes like one
+    # built there: a set lookup with a freshly built equal formula succeeds.
+    setup = ('from treegames.automata import And, Atom, Or, TRUE; '
+             'f = Or((And((Atom("1", "p"), Atom("2", "q"))), Atom("2", "r"), TRUE)); ')
+    dump = setup + "import pickle, sys; sys.stdout.write(pickle.dumps(f).hex())"
+    load = setup + ("import pickle, sys; "
+                    "assert pickle.loads(bytes.fromhex(sys.stdin.read())) in {f}")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = subprocess.run([sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="0"),
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+    subprocess.run([sys.executable, "-c", load], env=dict(env, PYTHONHASHSEED="1"),
+                   input=data, text=True, check=True, timeout=60)
 
 
 def test_automaton_schema_errors(tmp_path):
@@ -457,7 +480,13 @@ def test_automaton_schema_errors(tmp_path):
     doc["transitions"] = [{"from": "0", "letter": "0", "left": "0"}]
     with pytest.raises(AutomatonError):
         automaton_from_json(doc)
+    with pytest.raises(AutomatonError, match="distinct"):
+        automaton_from_json(dict(good, alphabet=["0", "0"]))
     good = apta_to_json(npta_to_apta(builtin("M01")))
+    with pytest.raises(AutomatonError, match="unknown op 'xor'"):
+        formula_from_json({"op": "xor"})
+    with pytest.raises(AutomatonError, match="duplicated"):
+        apta_from_json(dict(good, delta=good["delta"] + good["delta"][:1]))
     for key in ("alphabet", "states", "initial"):
         doc = dict(good)
         del doc[key]

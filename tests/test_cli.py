@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from treegames.trees import bisimilar, constant_tree, dump_tree, load_tree, tree_from_json
-from treegames.games import game_to_text, relabel_positions, solve
+from treegames.games import game_from_text, game_to_text, solve
 from treegames.automata import (
     BINARY,
     GAME_ALPHABET,
@@ -80,7 +80,7 @@ def test_solve_reports_parse_error_line(tmp_path, capsys):
 
 def test_solve_round_trips_a_membership_game(tmp_path, capsys):
     g = membership_game(builtin("W01"), ALL_EXISTS_ZERO)
-    relabeled, _ = relabel_positions(g)
+    relabeled = game_from_text(game_to_text(g))
     game = tmp_path / "m.txt"
     game.write_text(game_to_text(relabeled))
     code, out, _ = run(capsys, "solve", "--game", str(game))
@@ -431,15 +431,28 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     invalid.write_text("{not json")
     not_utf8 = tmp_path / "not-utf8.txt"
     not_utf8.write_bytes(b"\xff")
-    for argv, named in (
+    # Documents nested deeper than the readers' recursion goes.
+    deep_code = tmp_path / "deep-code.json"
+    deep_code.write_text('{"kind": "neg", "of": ' * 3000 + '{"kind": "cyl", "assign": {}}'
+                         + "}" * 3000)
+    deep_apta = tmp_path / "deep-apta.json"
+    doc = apta_to_json(npta_to_apta(builtin("M01")))
+    doc["delta"][0]["formula"] = "deep"
+    deep_apta.write_text(json.dumps(doc).replace(
+        '"deep"', '{"op": "and", "parts": [' * 3000 + '{"op": "true"}' + "]}" * 3000))
+    zero = write_tree(tmp_path, "zero.json", constant_tree(BINARY, "0"))
+    for argv, expected in (
         (("solve", "--game", missing), missing),
         (("member", "--automaton", missing, "--tree", tree), missing),
         (("reduce", "--code", missing, "--tree", tree), missing),
         (("reduce", "--code", str(invalid), "--tree", tree), str(invalid)),
         (("solve", "--game", str(not_utf8)), str(not_utf8)),
+        (("reduce", "--code", str(deep_code), "--tree", tree), "recursion"),
+        (("member-alt", "--automaton", str(deep_apta), "--tree", zero), "recursion"),
     ):
         code, _, err = run(capsys, *argv)
-        assert code == 2 and named in err, (argv, err)
+        assert code == 2 and expected in err, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_unwritable_output_prints_nothing(tmp_path, capsys):

@@ -22,6 +22,9 @@ from treegames.games import (
     solve,
     verify_strategy,
 )
+from treegames.trees import RegularTree, constant_tree
+from treegames.automata import BINARY, GAME_ALPHABET, NPTA, membership_game
+from treegames.gamelang import game_of_tree
 
 from helpers import max_parity_cycle_by_levels, odd_dominated_cycle, random_game
 
@@ -88,6 +91,11 @@ def test_brute_force_strategies_verify():
         res = brute_force_solve(g)
         assert verify_strategy(g, res.eve_strategy, res.eve_region), (trial, g)
         assert verify_strategy(g, res.adam_strategy, res.adam_region), (trial, g)
+    # 21 Eve positions with two moves each: 2^21 strategies, over the limit.
+    wide = game({i: EVE for i in range(21)}, {i: 0 for i in range(21)},
+                {i: (i, (i + 1) % 21) for i in range(21)})
+    with pytest.raises(GameError, match="strategy space larger than 1000000"):
+        brute_force_solve(wide)
 
 
 def test_solver_strategies_verify():
@@ -137,6 +145,15 @@ def test_verify_rejects_bad_strategies():
     assert not verify_strategy(g, Strategy(EVE, {0: 1}), {0}, notes)
     assert notes, "diagnostics should name the violation"
     assert not verify_strategy(g, Strategy(EVE, {0: 0, 1: 1}), {0, 1})
+    for strategy, region, reason in (
+        (Strategy(EVE, {0: 0}), {0, 5}, "5 is not a position"),
+        (Strategy(EVE, {}), {0}, "0: no move chosen"),
+        (Strategy(EVE, {0: 7}), {0}, "0: chosen move 7 is not an edge"),
+        (Strategy(ADAM, {}), {0}, "0: opponent can leave the region via 1"),
+    ):
+        notes = []
+        assert not verify_strategy(g, strategy, region, notes)
+        assert notes == [reason]
 
 
 def test_verify_rejects_owned_dead_end_in_region():
@@ -185,6 +202,8 @@ def test_game_construction_validation():
         game({0: EVE}, {0: 0}, {0: (1,)})  # unknown successor
     with pytest.raises(GameError, match="duplicate positions"):
         ParityGame((0, 0), {0: EVE}, {0: 0}, {0: ()})
+    with pytest.raises(GameError, match="no successor list"):
+        ParityGame((0,), {0: EVE}, {0: 0}, {})
 
 
 def test_explore_and_parse_name_the_first_bad_position():
@@ -264,6 +283,14 @@ def test_text_format_round_trip():
         g = random_game(rng, 6, 3, 3)
         back = game_from_text(game_to_text(g))
         assert back == g
+    # Names holding a quote or a line break are written so that they parse.
+    quoted = NPTA(BINARY, ('q"x',), 'q"x', (('q"x', "0", 'q"x', 'q"x'),), {'q"x': 0})
+    node = "a\nb"
+    broken = RegularTree(GAME_ALPHABET, node, {node: "(E,0)"}, {node: node}, {node: node})
+    for g in (membership_game(quoted, constant_tree(BINARY, "0")), game_of_tree(broken)):
+        back = game_from_text(game_to_text(g))
+        assert back.positions == tuple(range(len(g.positions)))
+        assert (back.owners, back.prios, back.succs) == (g.owners, g.prios, g.succs)
 
 
 def test_text_format_example():
@@ -284,6 +311,11 @@ def test_text_parse_errors_name_the_line():
         game_from_text("parity 9;\n0 1 0 0;\nnope;\n")
     with pytest.raises(GameError):
         game_from_text("parity 1;\n0 1 0 0,5;\n")
+    with pytest.raises(GameError, match="line 3: duplicate position 0"):
+        game_from_text("parity 1;\n0 1 0 0;\n0 1 0 0;\n")
+    with pytest.raises(GameError, match="line 1: expected header"):
+        game_from_text("")
+    assert game_from_text("parity 1;\n\n0 1 0 0;\n") == game({0: EVE}, {0: 1}, {0: (0,)})
 
 
 def test_dot_export_mentions_positions_and_regions():

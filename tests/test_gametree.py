@@ -145,6 +145,7 @@ def test_reduce_borel_union_spine():
     out = reduce_borel(Union((pin,), None), ALL_EXISTS_ZERO)
     assert label_at(out, "") == "(E,1)", "the spine is Eve's with bit 1"
     assert label_at(out, "1") == "(E,0)", "the member's reduction hangs left"
+    assert label_at(out, "21") == "(A,1)", "a union without a tail repeats Adam's win"
     assert in_w01(out)
     out = reduce_borel(Union((pin,), None), ALL_FORALL_ONE)
     assert in_w01_prime(out)
@@ -202,6 +203,8 @@ def test_parity_lang_frozen_cases():
     assert not parity_lang_member(constant_tree(alphabet12, "1"), 1, 2)
     with pytest.raises(ValueError):
         parity_lang_member(zero, 2, 3)
+    with pytest.raises(TreeError, match="label '2' outside"):
+        parity_lang_member(constant_tree(alphabet12, "2"), 0, 1)
 
 
 def test_parity_lang_matches_the_chain_automaton():
@@ -218,3 +221,5 @@ def test_rightmost_separator_against_buchi_twin():
     for _ in range(100):
         t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
         assert in_rightmost_separator(t) == member(kb, t), t
+    with pytest.raises(TreeError, match="0/1 alphabet"):
+        in_rightmost_separator(ALL_EXISTS_ZERO)

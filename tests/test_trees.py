@@ -61,6 +61,8 @@ def test_generator_is_trimmed_to_reachable_nodes():
 def test_generator_validation():
     with pytest.raises(TreeError):
         RegularTree(AB, 0, {0: "a"}, {0: 0}, {0: 1})  # right child missing
+    with pytest.raises(TreeError, match="has no left child"):
+        RegularTree(AB, 0, {0: "a"}, {}, {0: 0})
     with pytest.raises(TreeError):
         RegularTree(AB, 0, {0: "c"}, {0: 0}, {0: 0})  # label outside alphabet
     with pytest.raises(TreeError):
@@ -99,6 +101,8 @@ def test_distance_frozen_cases():
     t = RegularTree(AB, 0, {0: "a", 1: "b"}, {0: 1, 1: 1}, {0: 0, 1: 1})
     s = RegularTree(AB, 0, {0: "a", 1: "a"}, {0: 1, 1: 1}, {0: 0, 1: 1})
     assert tree_distance(t, s) == Fraction(1, 2)
+    with pytest.raises(TreeError, match="alphabet mismatch"):
+        tree_distance(ta, constant_tree(Alphabet(("a", "c")), "a"))
 
 
 def test_distance_matches_wordwise_comparison():
@@ -171,19 +175,12 @@ def test_graft_spine_shape():
     assert label_at(t, "22221") == "a"
 
 
-def test_graft_spine_default_tail_and_errors():
-    from treegames.trees import DEFAULT_TAIL_LABEL
-    from treegames.automata import GAME_ALPHABET
-
-    heads = [constant_tree(GAME_ALPHABET, "(E,0)")]
-    t = graft_spine(heads, None, "(E,1)")
-    assert label_at(t, "21") == DEFAULT_TAIL_LABEL
-    with pytest.raises(TreeError):
-        graft_spine([], None, "s")
-    with pytest.raises(TreeError):
-        graft_spine([constant_tree(AB, "a")], None, "a")  # no default tail label
-    with pytest.raises(TreeError):
+def test_graft_spine_errors():
+    with pytest.raises(TreeError, match="spine label"):
         graft_spine([constant_tree(AB, "a")], constant_tree(AB, "b"), "zzz")
+    other = Alphabet(("a", "c"))
+    with pytest.raises(TreeError, match="share an alphabet"):
+        graft_spine([constant_tree(AB, "a")], constant_tree(other, "a"), "a")
 
 
 def test_random_tree_is_deterministic_in_seed():
@@ -191,6 +188,8 @@ def test_random_tree_is_deterministic_in_seed():
     t2 = random_regular_tree(AB, 6, 99)
     assert t1 == t2
     assert bisimilar(t1, t2)
+    with pytest.raises(TreeError, match="max_nodes"):
+        random_regular_tree(AB, 0, 99)
 
 
 def test_json_round_trip():
