@@ -103,11 +103,12 @@ def _load_any_automaton(ref: str):
 def cmd_solve(args) -> int:
     g = game_from_text(read_text(args.game, GameError, "game text"))
     res = solve(g)
+    eve, adam = res.eve_strategy.choice, res.adam_strategy.choice
     doc = {
         "eve_region": sorted(res.eve_region),
         "adam_region": sorted(res.adam_region),
-        "eve_strategy": sorted([v, w] for v, w in res.eve_strategy.choice.items()),
-        "adam_strategy": sorted([v, w] for v, w in res.adam_strategy.choice.items()),
+        "eve_strategy": [[v, eve[v]] for v in sorted(eve)],
+        "adam_strategy": [[v, adam[v]] for v in sorted(adam)],
     }
     # Opened before anything is printed, as _emit does with -o.
     with open(args.dot, "w") if args.dot else nullcontext() as dot:

@@ -502,54 +502,81 @@ def game_to_text(g: ParityGame) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Both patterns match a line up to its final ';', so their trailing \s* plays
+# the part of stripping the space before it.
+_HEADER = re.compile(r"parity\s+\d+\s*")
 _RECORD = re.compile(
-    r'^(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"([^"]*)")?$')
+    r'(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"[^"]*")?\s*')
 
 
 def game_from_text(text: str) -> ParityGame:
-    """Parse the text format.  Errors carry the 1-based line number."""
-    records = {}
-    header_seen = False
+    """Parse the text format.  Errors carry the 1-based line number, and
+    the first error in line order is the one raised."""
+    # The loop only matches lines; numbers are converted after it, in bulk.
+    header, error = False, None
+    fields = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if not line.endswith(";"):
-            raise GameError(f"line {lineno}: record does not end with ';'")
-        line = line[:-1].strip()
-        if not header_seen:
-            if not re.fullmatch(r"parity\s+\d+", line):
-                raise GameError(f"line {lineno}: expected header 'parity N;'")
-            header_seen = True
+        if line[-1] != ";":
+            error = f"line {lineno}: record does not end with ';'"
+            break
+        if not header:
+            if _HEADER.fullmatch(line, 0, len(line) - 1) is None:
+                error = f"line {lineno}: expected header 'parity N;'"
+                break
+            header = True
             continue
-        m = _RECORD.fullmatch(line)
+        m = _RECORD.fullmatch(line, 0, len(line) - 1)
         if m is None:
-            raise GameError(f"line {lineno}: malformed position record")
-        v, p, o, moves, _ = m.groups()
-        v = int(v)
-        if v in records:
-            raise GameError(f"line {lineno}: duplicate position {v}")
-        records[v] = (int(o), int(p), tuple(map(int, moves.split(","))) if moves else ())
-    if not header_seen:
-        raise GameError("line 1: expected header 'parity N;'")
-    positions = sorted(records)
-    index = {v: i for i, v in enumerate(positions)}
-    rows = [records[v] for v in positions]
-    owners, prios, named = zip(*rows) if rows else ((), (), ())
+            error = f"line {lineno}: malformed position record"
+            break
+        fields += m.groups()
+    if not header and error is None:
+        error = "line 1: expected header 'parity N;'"
+    names = list(map(int, fields[0::4]))
+    row = dict(zip(names, range(len(names))))
+    if len(row) < len(names):
+        # A duplicate comes before the error that broke the loop, if any.
+        # Record k is the nonblank line after the header and k records.
+        seen = set()
+        for k, v in enumerate(names):
+            if v in seen:
+                lineno = [i for i, raw in enumerate(text.splitlines(), 1) if raw.strip()][k + 1]
+                raise GameError(f"line {lineno}: duplicate position {v}")
+            seen.add(v)
+    if error is not None:
+        raise GameError(error)
+    positions = sorted(row)
+    order = [row[v] for v in positions]
+    index = dict(zip(positions, range(len(positions))))
+    prios, owners, moves = fields[1::4], fields[2::4], fields[3::4]
+    moves = [moves[k] for k in order]
     try:
-        succs = [_ids(v, s, index) for v, s in zip(positions, named)]
-    except GameError as exc:
-        raise GameError(f"inconsistent game: {exc}") from None
+        succs = [tuple(map(index.__getitem__, map(int, s.split(",")))) if s else ()
+                 for s in moves]
+    except KeyError as exc:
+        # Raised at the first bad successor in position order, so the first
+        # position moving to it is the one to name.
+        w = exc.args[0]
+        v = next(v for v, s in zip(positions, moves) if s and w in map(int, s.split(",")))
+        raise GameError(f"inconsistent game: position {v!r}: "
+                        f"successor {w!r} is not a position") from None
+    owners = [int(owners[k]) for k in order]
+    prios = [int(prios[k]) for k in order]
     return ParityGame._of(positions, index, owners, prios, succs)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:
     """DOT rendering; Eve positions are ellipses, Adam positions boxes, and
-    winning regions are colored when a solve result is supplied."""
+    winning regions are colored when a solve result is supplied.  Labels
+    escape `\\` and `"`, so any position name gives valid DOT."""
     lines = ["digraph parity {"]
     for i, v in enumerate(g.positions):
         shape = "ellipse" if g.owners[i] == EVE else "box"
-        attrs = [f'label="{v}:{g.prios[i]}"', f"shape={shape}"]
+        label = f"{v}:{g.prios[i]}".replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"', f"shape={shape}"]
         if result is not None:
             color = "lightblue" if v in result.eve_region else "lightsalmon"
             attrs.append("style=filled")

@@ -312,8 +312,51 @@ def read_doc(path, error):
 
 
 def doc_text(doc) -> str:
-    """The text every document file and command output is written in."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text every document file and command output is written in: the
+    bytes of `json.dumps(doc, indent=2, sort_keys=True)` plus a newline.
+    Documents hold str, int, bool, None, lists, tuples and dicts with str
+    keys; any other value raises TypeError."""
+    return _json_text(doc, "\n") + "\n"
+
+
+# json.dumps falls back to its pure-Python encoder when `indent` is set; this
+# writer leaves each string to json's C escaper and each int to int.__repr__.
+_escape = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+def _json_text(v, nl):
+    # v written at the indent that the line break `nl` carries.  Plain
+    # loops, not comprehensions, keep one frame per nesting level, so this
+    # writes documents as deep as json.dumps did.
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        items = []
+        for x in v:
+            items.append(_int_text(x) if type(x) is int else _json_text(x, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k, x in sorted(v.items()):
+            text = _escape(x) if type(x) is str else _json_text(x, inner)
+            items.append(_escape(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, str):
+        return _escape(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return _int_text(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def doc_field(doc, key, kinds, what, error):

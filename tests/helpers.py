@@ -9,9 +9,19 @@ the game-based implementations is what the property tests check.
 from __future__ import annotations
 
 import random
+import re
 
 from treegames.trees import Alphabet, RegularTree, bisimilar, label_at
-from treegames.games import EVE, ParityGame, Strategy, _sccs, solve, verify_strategy
+from treegames.games import (
+    EVE,
+    GameError,
+    ParityGame,
+    Strategy,
+    _ids,
+    _sccs,
+    solve,
+    verify_strategy,
+)
 from treegames.automata import NPTA, emptiness_game, strategy_tree, transition_table
 from treegames.gamelang import Cyl, Neg, Union
 from treegames.automata import GAME_ALPHABET
@@ -100,6 +110,49 @@ def max_parity_cycle_by_levels(nodes, succ_of, priority, parity) -> bool:
             if len(comp) > 1 or comp[0] in sub_succ(comp[0]):
                 return True
     return False
+
+
+_RECORD_LINE = re.compile(
+    r'^(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"([^"]*)")?$')
+
+
+def game_from_text_by_lines(text: str) -> ParityGame:
+    """Oracle for games.game_from_text: each line stripped, its ';' cut off
+    and stripped again, then matched, its numbers converted and its
+    position checked for a duplicate before the next line is read."""
+    records = {}
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.endswith(";"):
+            raise GameError(f"line {lineno}: record does not end with ';'")
+        line = line[:-1].strip()
+        if not header_seen:
+            if not re.fullmatch(r"parity\s+\d+", line):
+                raise GameError(f"line {lineno}: expected header 'parity N;'")
+            header_seen = True
+            continue
+        m = _RECORD_LINE.fullmatch(line)
+        if m is None:
+            raise GameError(f"line {lineno}: malformed position record")
+        v, p, o, moves, _ = m.groups()
+        v = int(v)
+        if v in records:
+            raise GameError(f"line {lineno}: duplicate position {v}")
+        records[v] = (int(o), int(p), tuple(map(int, moves.split(","))) if moves else ())
+    if not header_seen:
+        raise GameError("line 1: expected header 'parity N;'")
+    positions = sorted(records)
+    index = {v: i for i, v in enumerate(positions)}
+    rows = [records[v] for v in positions]
+    owners, prios, named = zip(*rows) if rows else ((), (), ())
+    try:
+        succs = [_ids(v, s, index) for v, s in zip(positions, named)]
+    except GameError as exc:
+        raise GameError(f"inconsistent game: {exc}") from None
+    return ParityGame._of(positions, index, owners, prios, succs)
 
 
 def det_member_oracle(a: NPTA, t: RegularTree) -> bool:

@@ -3,6 +3,7 @@ which enumerates positional strategies and evaluates forced lassos; the
 solver must match it exactly."""
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -26,7 +27,12 @@ from treegames.trees import RegularTree, constant_tree
 from treegames.automata import BINARY, GAME_ALPHABET, NPTA, membership_game
 from treegames.gamelang import game_of_tree
 
-from helpers import max_parity_cycle_by_levels, odd_dominated_cycle, random_game
+from helpers import (
+    game_from_text_by_lines,
+    max_parity_cycle_by_levels,
+    odd_dominated_cycle,
+    random_game,
+)
 
 
 def game(owner, prio, succ):
@@ -318,9 +324,101 @@ def test_text_parse_errors_name_the_line():
     assert game_from_text("parity 1;\n\n0 1 0 0;\n") == game({0: EVE}, {0: 1}, {0: (0,)})
 
 
+SPACES = (" ", "  ", "\t", " \t", "\xa0")
+GAPS = ("",) + SPACES
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+PARSE_ERRORS = ("does not end with ';'", "expected header", "malformed position record",
+                "duplicate position", "is not a position")
+
+
+def random_game_lines(rng):
+    # Header and records of a small game in the text format, positions in
+    # random order, with every kind of space the grammar allows.
+    n = rng.randint(0, 6)
+    ids = rng.sample(range(12), n)
+
+    def gap():
+        return rng.choice(GAPS)
+
+    lines = [f"{gap()}parity{rng.choice(SPACES)}{rng.randint(0, 12)}{gap()};{gap()}"]
+    for v in ids:
+        record = " ".join(map(str, (v, rng.randint(0, 9), rng.randint(0, 1))))
+        record = record.replace(" ", rng.choice(SPACES))
+        succ = [str(rng.choice(ids)) for _ in range(rng.randint(0, 3))]
+        if succ:
+            record += rng.choice(("", " ")) + (gap() + "," + gap()).join(succ)
+        if rng.random() < 0.3:
+            record += gap() + '"' + rng.choice(("", "x", "a b", "(0, 'q')", "é")) + '"'
+        lines.append(gap() + record + gap() + ";" + gap())
+    return lines
+
+
+def mutate(rng, lines):
+    # A blank line, or one of the slips each parse error names.
+    i = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(7)
+    if kind == 0:
+        lines.insert(i, rng.choice(("", " ", "\t")))
+    elif kind == 1 and i < len(lines):
+        lines[i] = lines[i].replace(";", "")
+    elif kind == 2 and i < len(lines):
+        lines[i] = lines[i].replace("parity", "parity?").replace(";", " x;")
+    elif kind == 3:
+        lines.insert(i, rng.choice(("0 1;", "1 1 2;", "2 1 0 1,,2;", "3 1 0 1,;", "x 0 0;",
+                                    '4 1 0 "a"b";', "5 1 0 1 2;", "-1 0 0;")))
+    elif kind == 4 and len(lines) > 1:
+        lines.insert(i, lines[rng.randrange(1, len(lines))])
+    elif kind == 5:
+        lines.insert(max(i, 1), f"{rng.randint(0, 12)} 0 1 {rng.randint(0, 12)};")
+    elif kind == 6:
+        lines.insert(max(i, 1), "007 3 0 7;")
+
+
+def test_text_parser_matches_line_by_line_oracle():
+    # Both parsers give equal games or the same first error, on random
+    # texts, on texts with slips in them and on blank texts.
+    rng = random.Random(418)
+    errors, parsed = set(), 0
+    for trial in range(3000):
+        lines = random_game_lines(rng)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            mutate(rng, lines)
+        if rng.random() < 0.05:
+            lines = [rng.choice(("", " ", "\t"))] * rng.randint(0, 2)
+        text = "".join(line + rng.choice(BREAKS) for line in lines)
+        try:
+            want = game_from_text_by_lines(text)
+        except GameError as exc:
+            with pytest.raises(GameError) as got:
+                game_from_text(text)
+            assert str(got.value) == str(exc), (trial, text)
+            errors.update(kind for kind in PARSE_ERRORS if kind in str(exc))
+            continue
+        got = game_from_text(text)
+        assert got == want and got.index == want.index, (trial, text)
+        parsed += 1
+    assert errors == set(PARSE_ERRORS) and parsed > 1000
+
+
 def test_dot_export_mentions_positions_and_regions():
     g = game({0: EVE, 1: ADAM}, {0: 0, 1: 1}, {0: (1,), 1: (0,)})
     plain = game_to_dot(g)
     assert "digraph" in plain and "shape=box" in plain
     colored = game_to_dot(g, solve(g))
     assert "fillcolor" in colored
+
+
+def test_dot_labels_are_quoted_strings():
+    # A name holding '"' or '\\' is escaped inside its label.
+    quoted = NPTA(BINARY, ('q"x', "q\\"), 'q"x', (('q"x', "0", "q\\", 'q"x'),),
+                  {'q"x': 0, "q\\": 1})
+    member_game = membership_game(quoted, constant_tree(BINARY, "0"))
+    named = game({'a\\"b': EVE, "c\\": ADAM}, {'a\\"b': 0, "c\\": 1},
+                 {'a\\"b': ("c\\",), "c\\": ('a\\"b',)})
+    for g in (member_game, named):
+        labels = re.findall(r"label=(.*?), shape=", game_to_dot(g, solve(g)))
+        assert len(labels) == len(g.positions)
+        for label in labels:
+            assert re.fullmatch(r'"(?:[^"\\]|\\.)*"', label), label
+    assert '"(\'s\', \'q\\"x\', 0):0"' in game_to_dot(member_game)
+    assert 'label="a\\\\\\"b:0"' in game_to_dot(named)

@@ -1,6 +1,9 @@
 """Regular tree generators: construction, bisimilarity, metric, grafting,
 serialization."""
 
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from treegames.trees import (
     TreeError,
     bisimilar,
     constant_tree,
+    doc_text,
     dump_tree,
     graft_spine,
     label_at,
@@ -229,3 +233,43 @@ def test_dump_load_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(TreeError):
         load_tree(bad)
+
+
+def random_string(rng):
+    # Quotes, backslashes, control, non-ASCII and astral characters.
+    alphabet = 'ab"\\/ \n\t\x00\x1f\x7fé€\u2028\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+
+
+def random_doc(rng, depth):
+    kind = rng.randrange(8 if depth else 4)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, 1, -1])
+    if kind == 1:
+        return rng.choice([rng.randint(-300, 300), rng.randint(-10 ** 40, 10 ** 40)])
+    if kind == 2:
+        return random_string(rng)
+    if kind == 3:
+        return rng.choice([[], {}, (), [[]], ([],), [{}], {"": {}}, {"a": []}])
+    items = [random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {random_string(rng): v for v in items}
+
+
+def test_doc_text_matches_json_dumps():
+    rng = random.Random(417)
+    for _ in range(3000):
+        doc = random_doc(rng, rng.randint(0, 5))
+        assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
+    golden = glob.glob(os.path.join(os.path.dirname(__file__), "golden", "*.json"))
+    assert golden
+    for path in golden:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert doc_text(json.loads(text)) == text, path
+    for bad in (1.5, {1, 2}, [0, {"x": 0.0}], {"x": frozenset()}, {1: 0}):
+        with pytest.raises(TypeError):
+            doc_text(bad)
