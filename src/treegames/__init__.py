@@ -34,7 +34,6 @@ from .games import (
     ParityGame,
     SolveResult,
     Strategy,
-    brute_force_solve,
     game_from_text,
     game_to_dot,
     game_to_text,

@@ -155,7 +155,7 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
     def expand(pos):
         if pos[0] == "s":
             _, q, v = pos
-            return EVE, rank[q], tuple(("t", tr, v) for tr in table.get((q, label[v]), ()))
+            return EVE, rank[q], [("t", tr, v) for tr in table.get((q, label[v]), ())]
         _, (q, _, l, r), v = pos
         return ADAM, rank[q], (("s", l, left[v]), ("s", r, right[v]))
 

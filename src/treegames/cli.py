@@ -219,24 +219,26 @@ def cmd_play(args) -> int:
     human = EVE if args.side == "eve" else ADAM
     engine = 1 - human
     engine_choice = (res.eve_strategy if engine == EVE else res.adam_strategy).choice
+    names, index = g.positions, g.index
 
-    current = g.positions[0]
-    transcript = [current]
+    # The play runs on position ids; names are read to talk to the human.
+    current = 0
+    path = [current]
     seen = {current: 0}
     print(f"playing {'Eve' if human == EVE else 'Adam'}; "
           "moves are 1 (left) or 2 (right)")
     while True:
-        owner = g.owner[current]
-        succ = g.successors[current]
-        label = t.label[current]
-        if owner == human:
+        v = names[current]
+        succ = g.succs[current]
+        label = t.label[v]
+        if g.owners[current] == human:
             move = None
             while move is None:
                 try:
-                    raw = input(f"at {current} [{label}] your move (1/2): ").strip()
+                    raw = input(f"at {v} [{label}] your move (1/2): ").strip()
                 except EOFError:
                     print()
-                    print(json.dumps({"transcript": transcript, "verdict": None},
+                    print(json.dumps({"transcript": [names[i] for i in path], "verdict": None},
                                      sort_keys=True))
                     return 2
                 if raw == "1":
@@ -246,22 +248,22 @@ def cmd_play(args) -> int:
                 else:
                     print("enter 1 or 2")
         else:
-            move = engine_choice.get(current, succ[0])
+            move = index[engine_choice[v]] if v in engine_choice else succ[0]
             direction = "1" if move == succ[0] else "2"
-            print(f"at {current} [{label}] engine moves {direction}")
+            print(f"at {v} [{label}] engine moves {direction}")
         current = move
         if current in seen:
-            cycle = transcript[seen[current]:]
-            top = max(g.priority[v] for v in cycle)
+            cycle = path[seen[current]:]
+            top = max(g.prios[i] for i in cycle)
             verdict = "eve" if top % 2 == 0 else "adam"
             print()
-            print(json.dumps({"transcript": transcript + [current],
-                              "cycle": cycle,
+            print(json.dumps({"transcript": [names[i] for i in path + [current]],
+                              "cycle": [names[i] for i in cycle],
                               "cycle_max_priority": top,
                               "verdict": verdict}, sort_keys=True))
             return 0
-        seen[current] = len(transcript)
-        transcript.append(current)
+        seen[current] = len(path)
+        path.append(current)
 
 
 # ---------------------------------------------------------------------------

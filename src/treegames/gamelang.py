@@ -53,6 +53,9 @@ class GameLabel(NamedTuple):
 
 
 _GAME_LABELS = {symbol: GameLabel.from_symbol(symbol) for symbol in GAME_ALPHABET}
+# Owner and priority of the induced game's position at a node, by label.
+_OWNERS = {symbol: EVE if lab.owner == "E" else ADAM for symbol, lab in _GAME_LABELS.items()}
+_BITS = {symbol: lab.bit for symbol, lab in _GAME_LABELS.items()}
 ALL_EXISTS_ZERO = constant_tree(GAME_ALPHABET, "(E,0)")
 ALL_FORALL_ONE = constant_tree(GAME_ALPHABET, "(A,1)")
 
@@ -63,15 +66,18 @@ def _require_game_alphabet(t: RegularTree):
 
 
 def game_of_tree(t: RegularTree) -> ParityGame:
-    """The induced parity game on the tree's generator nodes."""
+    """The induced parity game on the tree's generator nodes.
+
+    The generator keeps its nodes in breadth-first order from the root, the
+    order explore() would find them in, so node i is position i and the
+    arrays are read straight off the label and child maps."""
     _require_game_alphabet(t)
-    label, left, right = t.label, t.left, t.right
-
-    def expand(v):
-        lab = _GAME_LABELS[label[v]]
-        return (EVE if lab.owner == "E" else ADAM), lab.bit, (left[v], right[v])
-
-    return explore(t.root, expand)
+    nodes = t.nodes
+    index = dict(zip(nodes, range(len(nodes))))
+    labels = t.label.values()
+    succs = zip(map(index.__getitem__, t.left.values()), map(index.__getitem__, t.right.values()))
+    return ParityGame._of(nodes, index, map(_OWNERS.__getitem__, labels),
+                          map(_BITS.__getitem__, labels), succs)
 
 
 def in_w01(t: RegularTree) -> bool:
@@ -82,8 +88,13 @@ def in_w01(t: RegularTree) -> bool:
 def in_w01_prime(t: RegularTree) -> bool:
     """Whether the dual-renamed tree lands in W01; equivalently, whether
     Adam wins the induced game with the strong requirement that the highest
-    bit seen infinitely often is 1."""
-    return in_w01(rename_tree(t, DUALITY))
+    bit seen infinitely often is 1.  The dual renaming flips each label's
+    owner and bit, so its game is the induced game with both arrays
+    flipped."""
+    g = game_of_tree(t)
+    dual = ParityGame._of(g.positions, g.index, [1 - o for o in g.owners],
+                          [1 - b for b in g.prios], g.succs)
+    return t.root in solve(dual).eve_region
 
 
 # ---------------------------------------------------------------------------

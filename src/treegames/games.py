@@ -16,10 +16,7 @@ solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
 so games with any number of distinct priorities solve; dead ends are
 handled by routing them to internal sink loops of the losing parity, which
-keeps the algorithm on dead-end-free games.  brute_force_solve() is an
-independent oracle that enumerates all positional strategy pairs and decides
-each forced lasso directly; it is exponential and only meant to cross-check
-the solver on small games.
+keeps the algorithm on dead-end-free games.
 
 Games also travel in a line-per-position text format:
 
@@ -35,7 +32,6 @@ optional quoted name.  Every record ends with a semicolon.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -141,16 +137,20 @@ def explore(start, expand) -> ParityGame:
     expand(pos) returns (owner, priority, successors)."""
     positions = [start]
     index = {start: 0}
+    # One hash per edge: a name not seen yet gets the next id.
+    add = index.setdefault
     owners, prios, succs = [], [], []
     for pos in positions:
         o, p, names = expand(pos)
         owners.append(o)
         prios.append(p)
+        ids = []
         for nxt in names:
-            if nxt not in index:
-                index[nxt] = len(positions)
+            i = add(nxt, len(positions))
+            if i == len(positions):
                 positions.append(nxt)
-        succs.append(tuple(map(index.__getitem__, names)))
+            ids.append(i)
+        succs.append(tuple(ids))
     _check_labels(positions, owners, prios)
     return ParityGame._of(positions, index, owners, prios, succs)
 
@@ -294,71 +294,6 @@ def solve(g: ParityGame) -> SolveResult:
 
     eve_region, eve_strategy = back(EVE)
     adam_region, adam_strategy = back(ADAM)
-    return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
-
-
-def brute_force_solve(g: ParityGame) -> SolveResult:
-    """Oracle solver: enumerate positional strategy pairs, walk the forced
-    lasso from every position, take the minimax.  Positional determinacy
-    makes this exact.  Refuses games whose strategy-pair count (product of
-    out-degrees over owned non-dead-end positions) exceeds a million."""
-    bound = 10 ** 6
-    eve_pos = [v for v in g.positions if g.owner[v] == EVE and g.successors[v]]
-    adam_pos = [v for v in g.positions if g.owner[v] == ADAM and g.successors[v]]
-    total = 1
-    for v in eve_pos + adam_pos:
-        total *= len(g.successors[v])
-        if total > bound:
-            raise GameError(f"strategy space larger than {bound}")
-
-    def lasso_winner(choice, start):
-        at = {}
-        path = []
-        v = start
-        while True:
-            if v in at:
-                cycle_max = max(g.priority[u] for u in path[at[v]:])
-                return cycle_max % 2
-            at[v] = len(path)
-            path.append(v)
-            nxt = choice.get(v)
-            if nxt is None:
-                return 1 - g.owner[v]
-            v = nxt
-
-    eve_choices = [dict(zip(eve_pos, combo))
-                   for combo in itertools.product(*(g.successors[v] for v in eve_pos))]
-    adam_choices = [dict(zip(adam_pos, combo))
-                    for combo in itertools.product(*(g.successors[v] for v in adam_pos))]
-
-    n = len(g.positions)
-    eve_all = [[True] * n for _ in eve_choices]
-    adam_all = [[True] * n for _ in adam_choices]
-    for ei, ec in enumerate(eve_choices):
-        for ai, ac in enumerate(adam_choices):
-            combined = {**ec, **ac}
-            for s, v in enumerate(g.positions):
-                if lasso_winner(combined, v) == EVE:
-                    adam_all[ai][s] = False
-                else:
-                    eve_all[ei][s] = False
-
-    eve_region = frozenset(
-        g.positions[s] for s in range(n) if any(mask[s] for mask in eve_all))
-    adam_region = frozenset(
-        g.positions[s] for s in range(n) if any(mask[s] for mask in adam_all))
-    assert eve_region.isdisjoint(adam_region)
-    assert len(eve_region) + len(adam_region) == n
-
-    def pick(choices, masks, region, player, owned):
-        for choice, mask in zip(choices, masks):
-            if all(g.positions[s] in region for s in range(n) if mask[s]) \
-                    and all(mask[s] for s in range(n) if g.positions[s] in region):
-                return Strategy(player, {v: choice[v] for v in owned if v in region})
-        raise AssertionError("no uniform positional strategy found")
-
-    eve_strategy = pick(eve_choices, eve_all, eve_region, EVE, eve_pos)
-    adam_strategy = pick(adam_choices, adam_all, adam_region, ADAM, adam_pos)
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
 
 

@@ -18,6 +18,7 @@ function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -80,6 +81,36 @@ class RegularTree:
     right: dict
 
     def __post_init__(self):
+        order = self._bulk_order() or self._checked_order()
+        # Keep reachable nodes only, in breadth-first order from the root.
+        for name in ("label", "left", "right"):
+            m = getattr(self, name)
+            object.__setattr__(self, name, dict(zip(order, map(m.__getitem__, order))))
+
+    def _bulk_order(self):
+        # Reachable nodes in breadth-first order, walked without per-node
+        # checks; None when some reachable node lacks a child or a label in
+        # the alphabet, which _checked_order then names.
+        left, right = self.left, self.right
+        order, seen = [self.root], {self.root}
+        try:
+            for v in order:
+                c = left[v]
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+                c = right[v]
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+            if set(map(self.label.__getitem__, order)) <= set(self.alphabet.symbols):
+                return order
+        except (KeyError, TypeError):
+            pass
+        return None
+
+    def _checked_order(self):
+        # The same walk with every node checked: raises the first TreeError.
         if self.root not in self.label:
             raise TreeError(f"root {self.root!r} has no label")
         order = [self.root]
@@ -97,10 +128,7 @@ class RegularTree:
         for v in order:
             if self.label[v] not in self.alphabet:
                 raise TreeError(f"label {self.label[v]!r} of node {v!r} is not in the alphabet")
-        # Keep reachable nodes only, in breadth-first order from the root.
-        object.__setattr__(self, "label", {v: self.label[v] for v in order})
-        object.__setattr__(self, "left", {v: self.left[v] for v in order})
-        object.__setattr__(self, "right", {v: self.right[v] for v in order})
+        return order
 
     @property
     def nodes(self) -> tuple:
@@ -375,6 +403,35 @@ def tree_from_json(doc: dict) -> RegularTree:
     alphabet = Alphabet(tuple(symbols))
     root = doc_field(doc, "root", (str, int), "tree document", TreeError)
     entries = doc_field(doc, "nodes", list, "tree document", TreeError)
+    label, left, right = _bulk_entries(entries) or _checked_entries(entries)
+    return RegularTree(alphabet, root, label, left, right)
+
+
+def _bulk_entries(entries):
+    # The label and child maps of node entries read field by field in bulk;
+    # None unless every entry is a plain object, every label a str, every
+    # id and child a str, int or bool (what JSON gives that doc_field takes)
+    # and no id repeats.  _checked_entries reads the rest.
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        ids = [e["id"] for e in entries]
+        labels = [e["label"] for e in entries]
+        lefts = [e["left"] for e in entries]
+        rights = [e["right"] for e in entries]
+    except KeyError:
+        return None
+    if (not set(map(type, labels)) <= {str}
+            or not set(map(type, itertools.chain(ids, lefts, rights))) <= {str, int, bool}):
+        return None
+    label = dict(zip(ids, labels))
+    if len(label) < len(ids):
+        return None
+    return label, dict(zip(ids, lefts)), dict(zip(ids, rights))
+
+
+def _checked_entries(entries):
+    # Entry by entry, raising the first TreeError.
     label, left, right = {}, {}, {}
     for entry in entries:
         v = doc_field(entry, "id", (str, int), "tree node", TreeError)
@@ -383,7 +440,7 @@ def tree_from_json(doc: dict) -> RegularTree:
         label[v] = doc_field(entry, "label", str, "tree node", TreeError)
         left[v] = doc_field(entry, "left", (str, int), "tree node", TreeError)
         right[v] = doc_field(entry, "right", (str, int), "tree node", TreeError)
-    return RegularTree(alphabet, root, label, left, right)
+    return label, left, right
 
 
 def dump_tree(t: RegularTree, path) -> None:

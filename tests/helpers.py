@@ -8,22 +8,33 @@ the game-based implementations is what the property tests check.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
-from treegames.trees import Alphabet, RegularTree, bisimilar, label_at
+from treegames.trees import (
+    Alphabet,
+    RegularTree,
+    TreeError,
+    bisimilar,
+    doc_field,
+    label_at,
+)
 from treegames.games import (
+    ADAM,
     EVE,
     GameError,
     ParityGame,
+    SolveResult,
     Strategy,
     _ids,
     _sccs,
+    explore,
     solve,
     verify_strategy,
 )
 from treegames.automata import NPTA, emptiness_game, strategy_tree, transition_table
-from treegames.gamelang import Cyl, Neg, Union
+from treegames.gamelang import Cyl, GameLabel, Neg, Union
 from treegames.automata import GAME_ALPHABET
 
 
@@ -93,6 +104,71 @@ def odd_dominated_cycle(nodes, succ, rank) -> bool:
     return False
 
 
+def brute_force_solve(g: ParityGame) -> SolveResult:
+    """Oracle solver: enumerate positional strategy pairs, walk the forced
+    lasso from every position, take the minimax.  Positional determinacy
+    makes this exact.  Refuses games whose strategy-pair count (product of
+    out-degrees over owned non-dead-end positions) exceeds a million."""
+    bound = 10 ** 6
+    eve_pos = [v for v in g.positions if g.owner[v] == EVE and g.successors[v]]
+    adam_pos = [v for v in g.positions if g.owner[v] == ADAM and g.successors[v]]
+    total = 1
+    for v in eve_pos + adam_pos:
+        total *= len(g.successors[v])
+        if total > bound:
+            raise GameError(f"strategy space larger than {bound}")
+
+    def lasso_winner(choice, start):
+        at = {}
+        path = []
+        v = start
+        while True:
+            if v in at:
+                cycle_max = max(g.priority[u] for u in path[at[v]:])
+                return cycle_max % 2
+            at[v] = len(path)
+            path.append(v)
+            nxt = choice.get(v)
+            if nxt is None:
+                return 1 - g.owner[v]
+            v = nxt
+
+    eve_choices = [dict(zip(eve_pos, combo))
+                   for combo in itertools.product(*(g.successors[v] for v in eve_pos))]
+    adam_choices = [dict(zip(adam_pos, combo))
+                    for combo in itertools.product(*(g.successors[v] for v in adam_pos))]
+
+    n = len(g.positions)
+    eve_all = [[True] * n for _ in eve_choices]
+    adam_all = [[True] * n for _ in adam_choices]
+    for ei, ec in enumerate(eve_choices):
+        for ai, ac in enumerate(adam_choices):
+            combined = {**ec, **ac}
+            for s, v in enumerate(g.positions):
+                if lasso_winner(combined, v) == EVE:
+                    adam_all[ai][s] = False
+                else:
+                    eve_all[ei][s] = False
+
+    eve_region = frozenset(
+        g.positions[s] for s in range(n) if any(mask[s] for mask in eve_all))
+    adam_region = frozenset(
+        g.positions[s] for s in range(n) if any(mask[s] for mask in adam_all))
+    assert eve_region.isdisjoint(adam_region)
+    assert len(eve_region) + len(adam_region) == n
+
+    def pick(choices, masks, region, player, owned):
+        for choice, mask in zip(choices, masks):
+            if all(g.positions[s] in region for s in range(n) if mask[s]) \
+                    and all(mask[s] for s in range(n) if g.positions[s] in region):
+                return Strategy(player, {v: choice[v] for v in owned if v in region})
+        raise AssertionError("no uniform positional strategy found")
+
+    eve_strategy = pick(eve_choices, eve_all, eve_region, EVE, eve_pos)
+    adam_strategy = pick(adam_choices, adam_all, adam_region, ADAM, adam_pos)
+    return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
+
+
 def max_parity_cycle_by_levels(nodes, succ_of, priority, parity) -> bool:
     """Oracle for games.has_cycle_with_max_parity: one Tarjan pass per
     candidate top priority c.  A cycle with maximum exactly c lives inside
@@ -153,6 +229,59 @@ def game_from_text_by_lines(text: str) -> ParityGame:
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
     return ParityGame._of(positions, index, owners, prios, succs)
+
+
+def regular_tree_by_checks(alphabet, root, label, left, right) -> RegularTree:
+    """Oracle for RegularTree's bulk check: every reachable node is checked
+    in one breadth-first loop and the first failure raised, then the maps
+    are trimmed to the reachable nodes in that order."""
+    if root not in label:
+        raise TreeError(f"root {root!r} has no label")
+    order = [root]
+    seen = {root}
+    for v in order:
+        for child_map, side in ((left, "left"), (right, "right")):
+            if v not in child_map:
+                raise TreeError(f"node {v!r} has no {side} child")
+            c = child_map[v]
+            if c not in label:
+                raise TreeError(f"{side} child {c!r} of {v!r} is not a labeled node")
+            if c not in seen:
+                seen.add(c)
+                order.append(c)
+    for v in order:
+        if label[v] not in alphabet:
+            raise TreeError(f"label {label[v]!r} of node {v!r} is not in the alphabet")
+    return RegularTree(alphabet, root, {v: label[v] for v in order},
+                       {v: left[v] for v in order}, {v: right[v] for v in order})
+
+
+def tree_from_json_by_entries(doc) -> RegularTree:
+    """Oracle for trees.tree_from_json: four doc_field reads per node entry,
+    then regular_tree_by_checks."""
+    symbols = doc_field(doc, "alphabet", list, "tree document", TreeError)
+    alphabet = Alphabet(tuple(symbols))
+    root = doc_field(doc, "root", (str, int), "tree document", TreeError)
+    entries = doc_field(doc, "nodes", list, "tree document", TreeError)
+    label, left, right = {}, {}, {}
+    for entry in entries:
+        v = doc_field(entry, "id", (str, int), "tree node", TreeError)
+        if v in label:
+            raise TreeError(f"duplicate node id {v!r}")
+        label[v] = doc_field(entry, "label", str, "tree node", TreeError)
+        left[v] = doc_field(entry, "left", (str, int), "tree node", TreeError)
+        right[v] = doc_field(entry, "right", (str, int), "tree node", TreeError)
+    return regular_tree_by_checks(alphabet, root, label, left, right)
+
+
+def game_of_tree_by_explore(t: RegularTree) -> ParityGame:
+    """Oracle for gamelang.game_of_tree: the induced game found by explore()
+    from the root, each node expanded from its label and children."""
+    def expand(v):
+        lab = GameLabel.from_symbol(t.label[v])
+        return (EVE if lab.owner == "E" else ADAM), lab.bit, (t.left[v], t.right[v])
+
+    return explore(t.root, expand)
 
 
 def det_member_oracle(a: NPTA, t: RegularTree) -> bool:

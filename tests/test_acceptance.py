@@ -20,7 +20,6 @@ from treegames.trees import (
 )
 from treegames.games import (
     ParityGame,
-    brute_force_solve,
     game_from_text,
     game_to_text,
     solve,
@@ -51,7 +50,7 @@ from treegames.separation import (
 )
 from treegames.cli import main as cli_main
 
-from helpers import random_code, random_game
+from helpers import brute_force_solve, random_code, random_game
 
 
 def test_criterion_1_solver_matches_brute_force():

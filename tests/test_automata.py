@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from treegames.trees import RegularTree, constant_tree, random_regular_tree
-from treegames.games import brute_force_solve
 from treegames.automata import (
     APTA,
     And,
@@ -50,7 +49,7 @@ from treegames.automata import (
     witness,
 )
 
-from helpers import det_member_oracle, random_npta
+from helpers import brute_force_solve, det_member_oracle, random_npta
 
 
 def all_zero():

@@ -14,7 +14,6 @@ from treegames.games import (
     GameError,
     ParityGame,
     Strategy,
-    brute_force_solve,
     explore,
     game_from_text,
     game_to_dot,
@@ -23,15 +22,24 @@ from treegames.games import (
     solve,
     verify_strategy,
 )
-from treegames.trees import RegularTree, constant_tree
-from treegames.automata import BINARY, GAME_ALPHABET, NPTA, membership_game
+from treegames.trees import RegularTree, constant_tree, random_regular_tree
+from treegames.automata import (
+    BINARY,
+    GAME_ALPHABET,
+    NPTA,
+    membership_game,
+    membership_start,
+    transition_table,
+)
 from treegames.gamelang import game_of_tree
 
 from helpers import (
+    brute_force_solve,
     game_from_text_by_lines,
     max_parity_cycle_by_levels,
     odd_dominated_cycle,
     random_game,
+    random_npta,
 )
 
 
@@ -252,6 +260,39 @@ def test_explore_gives_ids_in_breadth_first_discovery_order():
         g = explore(0, lambda v: (v % 2, v, edges[v]))
         assert g.positions == tuple(order), (trial, edges)
         assert g.succs == tuple(tuple(order.index(w) for w in edges[v]) for v in order)
+
+    # Tuple-named positions, duplicate edges and Eve dead ends: membership
+    # games of random automata on random trees, against a queue walk over
+    # the game's definition.
+    duplicates = dead_ends = 0
+    for trial in range(200):
+        a = random_npta(rng, BINARY, 3, 3, density=rng.choice((0.3, 0.7)))
+        t = random_regular_tree(BINARY, 6, rng.randrange(10 ** 6))
+        table = transition_table(a)
+
+        def moves(pos):
+            if pos[0] == "s":
+                _, q, v = pos
+                return [("t", tr, v) for tr in table.get((q, t.label[v]), ())]
+            _, (q, _, l, r), v = pos
+            return [("s", l, t.left[v]), ("s", r, t.right[v])]
+
+        start = membership_start(a, t)
+        order, queue = [start], deque([start])
+        while queue:
+            for w in moves(queue.popleft()):
+                if w not in order:
+                    order.append(w)
+                    queue.append(w)
+        g = membership_game(a, t)
+        assert g.positions == tuple(order), trial
+        assert list(g.index.items()) == [(v, i) for i, v in enumerate(order)], trial
+        assert g.succs == tuple(tuple(order.index(w) for w in moves(v)) for v in order), trial
+        assert g.owners == tuple(EVE if v[0] == "s" else ADAM for v in order), trial
+        assert g.prios == tuple(a.rank[v[1] if v[0] == "s" else v[1][0]] for v in order), trial
+        duplicates += any(len(set(s)) < len(s) for s in g.succs)
+        dead_ends += not all(g.succs)
+    assert duplicates and dead_ends
 
 
 def test_solve_is_independent_of_position_names():

@@ -9,11 +9,13 @@ from treegames.trees import (
     TreeError,
     bisimilar,
     constant_tree,
+    graft_spine,
     label_at,
     random_regular_tree,
     rename_tree,
 )
-from treegames.games import ADAM, EVE
+from treegames import gamelang
+from treegames.games import ADAM, EVE, solve
 from treegames.automata import BINARY, DUALITY, GAME_ALPHABET, builtin, member
 from treegames.gamelang import (
     ALL_EXISTS_ZERO,
@@ -34,7 +36,7 @@ from treegames.gamelang import (
     reduce_borel,
 )
 
-from helpers import random_code, unfold_with_tail
+from helpers import game_of_tree_by_explore, random_code, unfold_with_tail
 
 
 def neither_tree():
@@ -58,6 +60,56 @@ def test_game_of_tree_structure():
     assert g.owner["e"] == EVE and g.owner["a"] == ADAM
     assert g.priority["e"] == 1 and g.priority["a"] == 0
     assert g.successors["e"] == ("a", "a")
+
+
+def random_game_trees(rng, count):
+    """Random game-alphabet trees with int ids, string ids inserted in
+    shuffled order, tuple ids from graft_spine and reduce_borel images, and
+    their dual renamings."""
+    trees = []
+    for _ in range(count):
+        t = random_regular_tree(GAME_ALPHABET, 12, rng.randrange(10 ** 6))
+        nodes = list(t.nodes)
+        rng.shuffle(nodes)
+        named = RegularTree(GAME_ALPHABET, f"n{t.root}",
+                            {f"n{v}": t.label[v] for v in nodes},
+                            {f"n{v}": f"n{t.left[v]}" for v in nodes},
+                            {f"n{v}": f"n{t.right[v]}" for v in nodes})
+        grafted = graft_spine([t, named][:rng.randint(0, 2)], t, rng.choice(GAME_ALPHABET.symbols))
+        image = reduce_borel(random_code(rng, 3), t)
+        for u in (t, named, grafted, image):
+            trees += [u, rename_tree(u, DUALITY)]
+    return trees
+
+
+def same_game(g, h):
+    # Positions and arrays, and the index in the same order.
+    return g == h and list(g.index.items()) == list(h.index.items())
+
+
+def test_game_of_tree_matches_the_explore_oracle():
+    rng = random.Random(425)
+    trees = random_game_trees(rng, 150)
+    assert any(isinstance(v, tuple) and isinstance(v[1], tuple)
+               for u in trees for v in u.nodes), "no nested tuple ids"
+    for trial, u in enumerate(trees):
+        assert same_game(game_of_tree(u), game_of_tree_by_explore(u)), (trial, u)
+
+
+def test_w01_prime_solves_the_game_of_the_dual_tree(monkeypatch):
+    solved = []
+
+    def recording_solve(g):
+        solved.append(g)
+        return solve(g)
+
+    monkeypatch.setattr(gamelang, "solve", recording_solve)
+    rng = random.Random(426)
+    for trial, u in enumerate(random_game_trees(rng, 60)):
+        verdict = in_w01_prime(u)
+        dual = rename_tree(u, DUALITY)
+        assert same_game(solved[-1], game_of_tree(dual)), (trial, u)
+        assert verdict == in_w01(dual), (trial, u)
 
 
 def test_constant_trees_classify():

@@ -5,6 +5,8 @@ import glob
 import json
 import os
 import random
+import re
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from treegames.trees import (
     tree_to_json,
 )
 
-from helpers import unfold_with_tail
+from helpers import regular_tree_by_checks, tree_from_json_by_entries, unfold_with_tail
 
 AB = Alphabet(("a", "b"))
 
@@ -222,6 +224,133 @@ def test_json_schema_errors():
                     {"id": 0, "label": "b", "left": 0, "right": 0}]
     with pytest.raises(TreeError):
         tree_from_json(doc)
+
+
+def tree_outcome(build, *args):
+    """The TreeError message, or the tree with its maps as (type, value)
+    pairs in key order, so that 1 and True or key orders tell apart."""
+    try:
+        t = build(*args)
+    except TreeError as exc:
+        return str(exc)
+    typed = [[(type(k), k, type(x), x) for k, x in m.items()] for m in (t.label, t.left, t.right)]
+    return t.alphabet, type(t.root), t.root, typed
+
+
+# The message of each TreeError kind a tree document can raise.
+LOAD_ERRORS = {
+    "missing field": r"missing field",
+    "wrong type": r"has the wrong type",
+    "duplicate id": r"duplicate node id",
+    "unlabeled root": r"root .* has no label",
+    "child not a node": r"child .* is not a labeled node",
+    "label outside the alphabet": r"is not in the alphabet",
+}
+
+
+TREE_DOC_MUTATIONS = (
+    "bool id", "bool child", "duplicate id", "not an object", "missing field",
+    "mistyped field", "unlabeled root", "child not a node", "bad label", "dead junk",
+    "subclass entry", "extra key", "top level")
+
+
+def mutate_tree_doc(rng, doc, kinds):
+    """Apply one mutation to the document in place and record its kind."""
+    nodes = doc["nodes"]
+    objects = [e for e in nodes if isinstance(e, dict)]
+    entry = rng.choice(objects)
+    fresh = rng.choice([99, "z9", 10 ** 30])
+    kind = rng.choice(TREE_DOC_MUTATIONS)
+    if kind == "bool id":
+        entry["id"] = rng.choice([True, False])
+    elif kind == "bool child":
+        entry[rng.choice(["left", "right"])] = rng.choice([True, False])
+    elif kind == "duplicate id":
+        entry["id"] = rng.choice(objects).get("id", 0)
+    elif kind == "not an object":
+        nodes[nodes.index(entry)] = rng.choice([[], [entry.get("id")], "node", 3, None, 1.5])
+    elif kind == "missing field":
+        del entry[rng.choice(["id", "label", "left", "right"])]
+    elif kind == "mistyped field":
+        entry[rng.choice(["id", "label", "left", "right"])] = rng.choice([1.5, None, [], {}, ["a"]])
+    elif kind == "unlabeled root":
+        doc["root"] = fresh
+    elif kind == "child not a node":
+        entry[rng.choice(["left", "right"])] = fresh
+    elif kind == "bad label":
+        entry["label"] = rng.choice(["c", "", "A", "(E,0)"])
+    elif kind == "dead junk":
+        # Unreachable: no entry names it as a child.
+        nodes.insert(rng.randint(0, len(nodes)), {
+            "id": "junk", "label": rng.choice(["a", "c"]),
+            "left": rng.choice(["junk", fresh]), "right": rng.choice([fresh, entry.get("id", 0)])})
+    elif kind == "subclass entry":
+        nodes[nodes.index(entry)] = OrderedDict(entry)
+    elif kind == "extra key":
+        entry["note"] = rng.choice([None, 1.5, "x"])
+    else:
+        doc[rng.choice(["alphabet", "root", "nodes"])] = rng.choice([None, 1.5, {}])
+    kinds.add(kind)
+
+
+def test_bulk_tree_loading_matches_the_entry_by_entry_oracle():
+    rng = random.Random(427)
+    kinds, errors, trimmed = set(), set(), 0
+    for trial in range(3000):
+        n = rng.randint(1, 8)
+        ids = rng.sample([*range(12), *(f"v{i}" for i in range(12))], n)
+        doc = {"alphabet": ["a", "b"], "root": rng.choice(ids), "nodes": [
+            {"id": v, "label": rng.choice("ab"), "left": rng.choice(ids), "right": rng.choice(ids)}
+            for v in ids]}
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            if not isinstance(doc["nodes"], list) or not any(isinstance(e, dict) for e in doc["nodes"]):
+                break
+            mutate_tree_doc(rng, doc, kinds)
+        text = json.dumps(doc) if rng.random() < 0.5 else None
+        got = tree_outcome(tree_from_json, json.loads(text) if text else doc)
+        want = tree_outcome(tree_from_json_by_entries, doc)
+        assert got == want, (trial, doc)
+        if isinstance(want, str):
+            errors.update(k for k, pattern in LOAD_ERRORS.items() if re.search(pattern, want))
+        else:
+            trimmed += any(isinstance(e, dict) and e.get("id") == "junk"
+                           and (e.get("label") == "c" or e.get("left") != "junk")
+                           for e in doc["nodes"])
+    assert kinds == set(TREE_DOC_MUTATIONS)
+    assert errors == set(LOAD_ERRORS)
+    assert trimmed, "no unreachable junk node was trimmed"
+
+
+# The message of each TreeError kind that RegularTree itself raises.
+CHECK_ERRORS = {
+    "unlabeled root": r"root .* has no label",
+    "missing child": r"node .* has no (left|right) child",
+    "child not a node": r"child .* is not a labeled node",
+    "label outside the alphabet": r"is not in the alphabet",
+}
+
+
+def test_bulk_tree_check_matches_the_node_by_node_oracle():
+    # Direct construction: children may be missing, labels unhashable, and
+    # unreachable nodes broken in any way.
+    rng = random.Random(428)
+    errors = set()
+    for trial in range(2000):
+        n = rng.randint(1, 7)
+        nodes = list(range(n))
+        label = {v: rng.choice(["a", "b", "a", "b", "c", ["a"]]) for v in nodes}
+        left = {v: rng.choice(nodes + [n]) for v in nodes}
+        right = {v: rng.choice(nodes) for v in nodes}
+        for m in (label, left, right):
+            for _ in range(rng.choice([0, 0, 1])):
+                m.pop(rng.choice(nodes), None)
+        root = rng.choice(nodes + [True, n])
+        got = tree_outcome(RegularTree, AB, root, label, left, right)
+        want = tree_outcome(regular_tree_by_checks, AB, root, label, left, right)
+        assert got == want, (trial, root, label, left, right)
+        if isinstance(want, str):
+            errors.update(k for k, pattern in CHECK_ERRORS.items() if re.search(pattern, want))
+    assert errors == set(CHECK_ERRORS)
 
 
 def test_dump_load_files(tmp_path):
