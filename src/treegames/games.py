@@ -14,9 +14,14 @@ a name in or hand one back.
 
 solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
-so games with any number of distinct priorities solve; dead ends are
-handled by routing them to internal sink loops of the losing parity, which
-keeps the algorithm on dead-end-free games.
+so games with any number of distinct priorities solve.  No step copies or
+walks a whole region when the pieces it moves are small: frames hand their
+sets on instead of copying them, and an attractor whose targets fill most
+of its region starts from the few positions outside them.  A game that
+peels one position per level, one priority per position, solves in time
+and memory linear in its size.  Dead ends are handled by routing them to
+internal sink loops of the losing parity, which keeps the algorithm on
+dead-end-free games.
 
 Games also travel in a line-per-position text format:
 
@@ -172,56 +177,90 @@ class SolveResult:
     adam_strategy: Strategy
 
 
-def _attract(player, targets, region, owner, succ, pred):
-    # Attractor of `targets` for `player` inside `region`.  Player-owned
-    # positions pulled in record the successor they were attracted through;
-    # processing order is fixed by position index, so the result is
-    # deterministic.  `todo` grows while it is walked, a FIFO queue.
-    attr = set(targets)
-    strat = {}
-    todo = sorted(targets)
-    counts = {}
-    for u in todo:
-        for v in pred[u]:
-            if v in attr or v not in region:
+def _attract(player, attr, rest, owner, succ, pred):
+    # Grows `attr` in place to its attractor for `player` inside the region
+    # attr | rest, moving each position it pulls in out of `rest`, and
+    # returns the moves that pulled in player-owned positions.  The queue is
+    # first-in first-out from the targets in id order, so the result is
+    # deterministic.  When the targets fill most of the region, their
+    # predecessors are found from the other side: a scan of `rest` queues
+    # the positions with a move into the targets by (the target that pulls
+    # them in, id), which is the order the walk over the targets gives.
+    strat, counts = {}, {}
+    if 4 * len(rest) < len(attr):
+        first = []
+        for v in rest:
+            inside = [w for w in succ[v] if w in attr]
+            if not inside:
                 continue
             if owner[v] == player:
-                attr.add(v)
+                first.append((min(inside), v))
+            else:
+                c = sum(w in rest for w in succ[v])
+                if c:
+                    counts[v] = c
+                else:
+                    first.append((max(inside), v))
+        first.sort()
+        todo = [v for _, v in first]
+        strat = {v: u for u, v in first if owner[v] == player}
+        attr.update(todo)
+    else:
+        todo = sorted(attr)
+    for u in todo:
+        for v in pred[u]:
+            if v in attr or v not in rest:
+                continue
+            if owner[v] == player:
                 strat[v] = u
-                todo.append(v)
             else:
                 # Edges from v into the region that do not lead into attr
                 # yet, each duplicate edge counted, as pred lists it too.
                 c = counts.get(v)
                 if c is None:
-                    c = len(succ[v])
-                    if not region.issuperset(succ[v]):
-                        c = sum(1 for w in succ[v] if w in region)
+                    c = 0
+                    for w in succ[v]:
+                        if w in rest or w in attr:
+                            c += 1
                 c -= 1
                 counts[v] = c
-                if not c:
-                    attr.add(v)
-                    todo.append(v)
-    return attr, strat
+                if c:
+                    continue
+            attr.add(v)
+            todo.append(v)
+    rest.difference_update(todo)
+    return strat
+
+
+def _union(x, y):
+    # x | y, made by adding the smaller set to the larger one; both are spent.
+    if len(x) < len(y):
+        x, y = y, x
+    x |= y
+    return x
 
 
 def _zielonka(m, owner, prio, succ, pred):
     # Zielonka's algorithm on positions 0..m-1 of a dead-end-free game.  The
     # second recursive call of the textbook formulation is unrolled into a
     # loop over the shrinking region.  For the first one, on the region
-    # minus the attractor of its top priority, the frame waits on `stack`
-    # while that subgame is solved, so depth is bounded by memory rather
-    # than by Python's recursion limit.
+    # minus the attractor `a` of its top priority, the frame waits on
+    # `stack` while that subgame is solved, so depth is bounded by memory
+    # rather than by Python's recursion limit.
     # Positions are bucketed by priority once; a frame's region only
     # shrinks, so its top priority is found by walking `levels` down from
     # where the frame last found it, and a subgame's starts one level lower.
+    # No step copies a whole region: the subgame is the region with `a`
+    # taken out in place, a frame keeps `a` and gets its region back as `a`
+    # and the subgame's two winning regions, won sets are merged smaller
+    # into larger, and an empty strategy map takes over the subgame's.
     bucket = {}
     for v in range(m):
         bucket.setdefault(prio[v], []).append(v)
     levels = sorted(bucket, reverse=True)
     stack = []
     region, k = set(range(m)), 0
-    win, strat = (set(), set()), ({}, {})
+    win, strat = [set(), set()], [{}, {}]
     while True:
         # Open frames on subgames until one is empty.
         while region:
@@ -229,30 +268,36 @@ def _zielonka(m, owner, prio, succ, pred):
                 k += 1
             d = levels[k]
             sigma = d % 2
-            tops = region.intersection(bucket[d])
-            a, astrat = _attract(sigma, tops, region, owner, succ, pred)
-            stack.append((region, k, win, strat, sigma, tops, astrat))
-            region, k = region - a, k + 1
-            win, strat = (set(), set()), ({}, {})
+            a = region.intersection(bucket[d])
+            tops = sorted(a)
+            region -= a
+            astrat = _attract(sigma, a, region, owner, succ, pred)
+            stack.append((a, k, win, strat, sigma, tops, astrat))
+            k += 1
+            win, strat = [set(), set()], [{}, {}]
         # Hand each solved frame's result to the frame below, until one of
         # them still has a region left to solve.
         while stack:
             sub_win, sub_strat = win, strat
-            region, k, win, strat, sigma, tops, astrat = stack.pop()
-            opp = 1 - sigma
-            if not sub_win[opp]:
-                win[sigma].update(region)
-                strat[sigma].update(sub_strat[sigma])
-                strat[sigma].update(astrat)
-                for v in sorted(tops):
+            a, k, win, strat, sigma, tops, moves = stack.pop()
+            # The frame's region less what the opponent won in the subgame;
+            # when that is nothing, sigma wins the whole region.
+            region = _union(a, sub_win[sigma])
+            p = 1 - sigma
+            won = sub_win[p]
+            if won:
+                moves = _attract(p, won, region, owner, succ, pred)
+            else:
+                p, won, region = sigma, region, set()
+                for v in tops:
                     if owner[v] == sigma:
-                        strat[sigma][v] = next(u for u in succ[v] if u in region)
-                continue
-            b, bstrat = _attract(opp, sub_win[opp], region, owner, succ, pred)
-            win[opp].update(b)
-            strat[opp].update(sub_strat[opp])
-            strat[opp].update(bstrat)
-            region -= b
+                        moves[v] = next(u for u in succ[v] if u in won)
+            if strat[p]:
+                strat[p].update(sub_strat[p])
+            else:
+                strat[p] = sub_strat[p]
+            strat[p].update(moves)
+            win[p] = _union(win[p], won)
             if region:
                 break
         else:

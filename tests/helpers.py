@@ -169,6 +169,125 @@ def brute_force_solve(g: ParityGame) -> SolveResult:
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
 
 
+def _attract(player, targets, region, owner, succ, pred):
+    # Attractor of `targets` for `player` inside `region`.  Player-owned
+    # positions pulled in record the successor they were attracted through;
+    # processing order is fixed by position index, so the result is
+    # deterministic.  `todo` grows while it is walked, a FIFO queue.
+    attr = set(targets)
+    strat = {}
+    todo = sorted(targets)
+    counts = {}
+    for u in todo:
+        for v in pred[u]:
+            if v in attr or v not in region:
+                continue
+            if owner[v] == player:
+                attr.add(v)
+                strat[v] = u
+                todo.append(v)
+            else:
+                # Edges from v into the region that do not lead into attr
+                # yet, each duplicate edge counted, as pred lists it too.
+                c = counts.get(v)
+                if c is None:
+                    c = len(succ[v])
+                    if not region.issuperset(succ[v]):
+                        c = sum(1 for w in succ[v] if w in region)
+                c -= 1
+                counts[v] = c
+                if not c:
+                    attr.add(v)
+                    todo.append(v)
+    return attr, strat
+
+
+def _zielonka(m, owner, prio, succ, pred):
+    # Zielonka's algorithm on positions 0..m-1 of a dead-end-free game.  The
+    # second recursive call of the textbook formulation is unrolled into a
+    # loop over the shrinking region.  For the first one, on the region
+    # minus the attractor of its top priority, the frame waits on `stack`
+    # while that subgame is solved, so depth is bounded by memory rather
+    # than by Python's recursion limit.
+    # Positions are bucketed by priority once; a frame's region only
+    # shrinks, so its top priority is found by walking `levels` down from
+    # where the frame last found it, and a subgame's starts one level lower.
+    bucket = {}
+    for v in range(m):
+        bucket.setdefault(prio[v], []).append(v)
+    levels = sorted(bucket, reverse=True)
+    stack = []
+    region, k = set(range(m)), 0
+    win, strat = (set(), set()), ({}, {})
+    while True:
+        # Open frames on subgames until one is empty.
+        while region:
+            while region.isdisjoint(bucket[levels[k]]):
+                k += 1
+            d = levels[k]
+            sigma = d % 2
+            tops = region.intersection(bucket[d])
+            a, astrat = _attract(sigma, tops, region, owner, succ, pred)
+            stack.append((region, k, win, strat, sigma, tops, astrat))
+            region, k = region - a, k + 1
+            win, strat = (set(), set()), ({}, {})
+        # Hand each solved frame's result to the frame below, until one of
+        # them still has a region left to solve.
+        while stack:
+            sub_win, sub_strat = win, strat
+            region, k, win, strat, sigma, tops, astrat = stack.pop()
+            opp = 1 - sigma
+            if not sub_win[opp]:
+                win[sigma].update(region)
+                strat[sigma].update(sub_strat[sigma])
+                strat[sigma].update(astrat)
+                for v in sorted(tops):
+                    if owner[v] == sigma:
+                        strat[sigma][v] = next(u for u in succ[v] if u in region)
+                continue
+            b, bstrat = _attract(opp, sub_win[opp], region, owner, succ, pred)
+            win[opp].update(b)
+            strat[opp].update(sub_strat[opp])
+            strat[opp].update(bstrat)
+            region -= b
+            if region:
+                break
+        else:
+            return win, strat
+
+
+def reference_solve(g: ParityGame) -> SolveResult:
+    """Oracle for games.solve: the same Zielonka recursion, in the form
+    that copies the region, the won sets and the strategy maps at every
+    frame and walks the attractor from the whole target set."""
+    n = len(g.positions)
+    owner, prio, succ = g.owners, g.prios, g.succs
+    if not all(succ):
+        sink_even, sink_odd = n, n + 1
+        owner += (ADAM, EVE)
+        prio += (0, 1)
+        succ = [s or ((sink_odd,) if owner[i] == EVE else (sink_even,))
+                for i, s in enumerate(succ)]
+        succ += [(sink_even,), (sink_odd,)]
+    m = len(succ)
+    pred = [[] for _ in range(m)]
+    for i in range(m):
+        for j in succ[i]:
+            pred[j].append(i)
+    win, strat = _zielonka(m, owner, prio, succ, pred)
+    names = g.positions
+
+    def back(player):
+        region = frozenset([names[i] for i in win[player] if i < n])
+        choice = {names[i]: names[j] for i, j in strat[player].items()
+                  if i < n and g.succs[i]}
+        return region, Strategy(player, choice)
+
+    eve_region, eve_strategy = back(EVE)
+    adam_region, adam_strategy = back(ADAM)
+    return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
+
+
 def max_parity_cycle_by_levels(nodes, succ_of, priority, parity) -> bool:
     """Oracle for games.has_cycle_with_max_parity: one Tarjan pass per
     candidate top priority c.  A cycle with maximum exactly c lives inside

@@ -1,9 +1,12 @@
 """Parity game solving.  The ground truth throughout is brute_force_solve,
 which enumerates positional strategies and evaluates forced lassos; the
-solver must match it exactly."""
+solver must match it exactly.  Games too large to enumerate are checked
+against reference_solve, the same recursion in the form that copies its
+sets at every frame, down to the order of the strategy maps."""
 
 import random
 import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -40,6 +43,7 @@ from helpers import (
     odd_dominated_cycle,
     random_game,
     random_npta,
+    reference_solve,
 )
 
 
@@ -129,10 +133,90 @@ def peel_chain(n):
                 {i: (i - 1, i) if i else (0,) for i in range(n)})
 
 
+def assert_solves_like_reference(g, note):
+    got, want = solve(g), reference_solve(g)
+    assert got == want, note
+    for mine, theirs in ((got.eve_strategy, want.eve_strategy),
+                         (got.adam_strategy, want.adam_strategy)):
+        assert list(mine.choice.items()) == list(theirs.choice.items()), note
+
+
+def test_solve_matches_the_reference_solver_on_random_games():
+    # Equal regions and strategies, with the strategy maps in the same
+    # order.  Duplicate edges come in through the name-keyed constructor;
+    # priorities are 0..8 or all distinct.
+    rng = random.Random(414)
+    for trial in range(500):
+        n = rng.randint(0, 60)
+        prio = (rng.sample(range(2 * n), n) if trial % 3 == 0
+                else [rng.randint(0, 8) for _ in range(n)])
+        g = ParityGame(
+            tuple(range(n)),
+            {i: rng.randint(0, 1) for i in range(n)},
+            dict(enumerate(prio)),
+            {i: tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 3)))
+             for i in range(n)})
+        assert_solves_like_reference(g, (trial, g))
+
+
+def test_solve_matches_the_reference_solver_when_one_player_wins_almost_everything():
+    # Most positions carry the winner's parity, so attractors are built on
+    # targets that fill most of their region, from the positions outside.
+    rng = random.Random(415)
+    for trial in range(300):
+        n = rng.randint(5, 80)
+        winner = trial % 2
+        g = ParityGame(
+            tuple(range(n)),
+            {i: rng.randint(0, 1) for i in range(n)},
+            {i: winner + 2 * rng.randint(0, 2) if rng.random() < 0.9 else rng.randint(0, 9)
+             for i in range(n)},
+            {i: tuple(rng.choice(range(n)) for _ in range(rng.randint(1, 3)))
+             for i in range(n)})
+        assert_solves_like_reference(g, (trial, g))
+    for n in list(range(1, 41)) + [97, 256, 511, 1200]:
+        assert_solves_like_reference(peel_chain(n), n)
+    # Adam's 13 moves only into the top priority's 0..12, so Eve's attractor
+    # takes it when the later of its targets, 5, is walked; 14, taken at 3,
+    # comes first in the queue, and 15 is pulled in through 14.
+    tops = {i: (i,) for i in range(13)}
+    g = game({**{i: ADAM for i in tops}, 13: ADAM, 14: EVE, 15: EVE},
+             {**{i: 2 for i in tops}, 13: 1, 14: 1, 15: 1},
+             {**tops, 13: (1, 5), 14: (3,), 15: (13, 14)})
+    assert_solves_like_reference(g, "late target")
+    assert solve(g).eve_strategy.choice[15] == 14
+
+
+def test_solve_matches_the_reference_solver_on_tree_games():
+    # Tuple-named membership games of random automata on random trees, and
+    # the games induced by random game-labeled trees.
+    rng = random.Random(416)
+    for trial in range(150):
+        a = random_npta(rng, BINARY, 6, 5, density=rng.choice((0.3, 0.7)))
+        t = random_regular_tree(BINARY, 30, rng.randrange(10 ** 6))
+        assert_solves_like_reference(membership_game(a, t), trial)
+        u = random_regular_tree(GAME_ALPHABET, 60, rng.randrange(10 ** 6))
+        assert_solves_like_reference(game_of_tree(u), trial)
+
+
+def test_solve_memory_stays_linear_on_peel_chains():
+    # Frames that copied their regions held a quadratic number of
+    # positions at once: an 85 MB peak at this size.
+    g = peel_chain(2000)
+    tracemalloc.start()
+    try:
+        solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
 def test_solver_handles_one_priority_per_position_deep_chains():
-    # Each of the peel chain's 1,200 priorities is one level of Zielonka's
-    # algorithm, well past Python's default recursion limit.
-    n = 1200
+    # Each of the peel chain's 20,000 priorities is one level of Zielonka's
+    # algorithm, far past Python's default recursion limit, and no level
+    # copies the region it peels one position from.
+    n = 20000
     g = peel_chain(n)
     res = solve(g)
     assert res.eve_region == frozenset(range(n))
