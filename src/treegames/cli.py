@@ -56,10 +56,10 @@ from .automata import (
     witness,
 )
 from .gamelang import (
+    _w01_verdicts,
     code_from_json,
     game_of_tree,
     in_w01,
-    in_w01_prime,
     reduce_borel,
 )
 from .separation import (
@@ -147,8 +147,7 @@ def cmd_empty(args) -> int:
 
 def cmd_gtl(args) -> int:
     t = load_tree(args.tree)
-    first = in_w01(t)
-    second = in_w01_prime(t)
+    first, second = _w01_verdicts(t)
     _emit({"in_W01": first, "in_W01_prime": second}, args.output)
     return 0 if first or second else 1
 

@@ -91,10 +91,18 @@ def in_w01_prime(t: RegularTree) -> bool:
     bit seen infinitely often is 1.  The dual renaming flips each label's
     owner and bit, so its game is the induced game with both arrays
     flipped."""
-    g = game_of_tree(t)
-    dual = ParityGame._of(g.positions, g.index, [1 - o for o in g.owners],
+    return t.root in solve(_dual_game(game_of_tree(t))).eve_region
+
+
+def _dual_game(g: ParityGame) -> ParityGame:
+    return ParityGame._of(g.positions, g.index, [1 - o for o in g.owners],
                           [1 - b for b in g.prios], g.succs)
-    return t.root in solve(dual).eve_region
+
+
+def _w01_verdicts(t: RegularTree) -> tuple[bool, bool]:
+    """(in_w01(t), in_w01_prime(t)) from one build of the induced game."""
+    g = game_of_tree(t)
+    return t.root in solve(g).eve_region, t.root in solve(_dual_game(g)).eve_region
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .trees import RegularTree, bisimilar, tree_to_json
 from .games import EVE, Strategy, solve, verify_strategy
@@ -160,6 +161,10 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     random stream is the same whichever draws are skipped.  A draw whose
     strategy, on the positions it reaches, was already tried is skipped,
     so each distinct strategy is verified once, before its tree is used.
+    When Eve has at most as many full choice functions as there are draws,
+    drawing stops once every strategy they give has been tried: each later
+    draw would be a skipped repeat, so the trees and their order are the
+    same as after the whole budget.
     Raises EmptyLanguage when the automaton accepts no tree, ValueError
     when n is below 1.
     """
@@ -179,12 +184,10 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     options = {i: [j for j in succs[i] if won[j]]
                for i, pos in enumerate(names) if pos[0] == "s" and won[i]}
 
-    rng = random.Random(seed)
-    trees: list[RegularTree] = []
-    tried = set()
-    budget = max(100, 20 * n)
-    for _ in range(budget):
-        choice = {i: rng.choice(opts) for i, opts in options.items()}
+    def walk(choice):
+        # The walk is fixed by Eve's moves in the order it meets them, so
+        # `moves` names the strategy restricted to `reach`, which is all the
+        # check and the trimmed tree below depend on.
         reach = {0}
         frontier = [0]
         moves = []
@@ -199,11 +202,29 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
                 if nxt not in reach:
                     reach.add(nxt)
                     frontier.append(nxt)
-        # The walk is fixed by Eve's moves in the order it meets them, so
-        # `moves` names the strategy restricted to `reach`, which is all the
-        # check and the trimmed tree below depend on.  A repeat was rejected
-        # before, or its tree is bisimilar to a kept one.
-        moves = tuple(moves)
+        return reach, tuple(moves)
+
+    budget = max(100, 20 * n)
+    total = 1  # full choice functions, or just past the budget
+    for opts in options.values():
+        total *= len(opts)
+        if total > budget:
+            break
+    distinct = None  # restricted strategies any draw can give, once counted
+    rng = random.Random(seed)
+    trees: list[RegularTree] = []
+    tried = set()
+    for drawn in range(budget):
+        if drawn == total:
+            # No dearer than the draws made so far.  Every draw lands in
+            # this set, so once `tried` fills it, no draw can add a tree.
+            distinct = len({walk(dict(zip(options, pick)))[1]
+                            for pick in product(*options.values())})
+        if len(tried) == distinct:
+            break
+        choice = {i: rng.choice(opts) for i, opts in options.items()}
+        reach, moves = walk(choice)
+        # A repeat was rejected before, or its tree is bisimilar to a kept one.
         if moves in tried:
             continue
         tried.add(moves)

@@ -112,6 +112,21 @@ def test_w01_prime_solves_the_game_of_the_dual_tree(monkeypatch):
         assert verdict == in_w01(dual), (trial, u)
 
 
+def test_gtl_verdicts_build_the_game_once(monkeypatch):
+    rng = random.Random(427)
+    trees = random_game_trees(rng, 60) + [ALL_EXISTS_ZERO, ALL_FORALL_ONE, neither_tree()]
+    want = [(in_w01(u), in_w01_prime(u)) for u in trees]
+    built = []
+
+    def recording_build(t):
+        built.append(t)
+        return game_of_tree(t)
+
+    monkeypatch.setattr(gamelang, "game_of_tree", recording_build)
+    assert [gamelang._w01_verdicts(u) for u in trees] == want
+    assert built == trees
+
+
 def test_constant_trees_classify():
     assert in_w01(ALL_EXISTS_ZERO) and not in_w01_prime(ALL_EXISTS_ZERO)
     assert in_w01_prime(ALL_FORALL_ONE) and not in_w01(ALL_FORALL_ONE)

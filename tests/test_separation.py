@@ -1,5 +1,6 @@
 """Separator hierarchy, disjointness checking, sampling, verification."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from treegames.automata import (
     member_alt,
     witness,
 )
+from treegames import separation
 from treegames.separation import (
     EmptyLanguage,
     NotDisjoint,
@@ -131,9 +133,27 @@ def test_sampling_is_deterministic_and_sound():
             assert not bisimilar(t, u), "samples must be pairwise distinct"
 
 
-def test_sampling_matches_the_reference_sampler():
-    # Skipping repeated strategies must not change a single sampled tree or
-    # their order.
+def counted_sample(monkeypatch, a, n, seed):
+    """sample_language(a, n, seed), the number of draws it made, and the
+    number of Eve's full choice functions.  Every draw calls `choice` once
+    on each of the same option lists."""
+    sizes, calls = {}, []
+
+    class Counting(random.Random):
+        def choice(self, seq):
+            sizes[id(seq)] = len(seq)
+            calls.append(seq)
+            return super().choice(seq)
+
+    with monkeypatch.context() as m:
+        m.setattr(separation.random, "Random", Counting)
+        result = sample_language(a, n, seed)
+    return result, len(calls) // len(sizes), math.prod(sizes.values())
+
+
+def test_sampling_matches_the_reference_sampler(monkeypatch):
+    # Skipping repeated strategies, and stopping once every strategy has
+    # been tried, must not change a single sampled tree or their order.
     rng = random.Random(418)
     cases = [builtin(name) for name in BUILTIN_NAMES if is_buchi(builtin(name))]
     cases += [side for pair in example_pairs() for side in (pair.a, pair.b)]
@@ -150,6 +170,31 @@ def test_sampling_matches_the_reference_sampler():
             want = [tree_to_json(t) for t in reference_sample(a, n, seed)]
             got = [tree_to_json(t) for t in sample_language(a, n, seed).trees]
             assert got == want, (i, n, seed)
+    # Drawing stops before the budget: every example side, L and M01.  L
+    # also has a case where n trees come before its 32 full choice
+    # functions could all have been drawn.
+    stops = [(side, 20, 5) for pair in example_pairs() for side in (pair.a, pair.b)]
+    stops += [(builtin("L"), 20, 5), (builtin("M01"), 5, 3), (builtin("M01"), 20, 5)]
+    cases = [case + (True,) for case in stops] + [(builtin("L"), 3, 0, False)]
+    for a, n, seed, stopped in cases:
+        result, draws, total = counted_sample(monkeypatch, a, n, seed)
+        want = [tree_to_json(t) for t in reference_sample(a, n, seed)]
+        assert [tree_to_json(t) for t in result.trees] == want, (a, n, seed)
+        assert total <= max(100, 20 * n)
+        if stopped:
+            assert total <= draws < max(100, 20 * n), (a, n, seed)
+        else:
+            assert len(result.trees) == n and draws < total
+
+
+def test_sampling_stops_once_every_strategy_is_tried(monkeypatch):
+    result, draws, total = counted_sample(monkeypatch, builtin("M01"), 5, 3)
+    assert len(result.trees) == 1 and total == 4
+    assert draws < 100
+    # W01 has 144 full choice functions; 400 draws never try them all.
+    result, draws, total = counted_sample(monkeypatch, builtin("W01"), 20, 0)
+    assert len(result.trees) == 8 and total == 144
+    assert draws == 400
 
 
 def test_sampling_reports_exhaustion():
