@@ -95,7 +95,7 @@ from .separation import (
     SeparationReport,
     SeparatorHierarchy,
     build_hierarchy,
-    check_disjoint_buchi,
+    disjointness_witness,
     example_pairs,
     sample_language,
     separator_level_bound,

@@ -220,7 +220,7 @@ def witness(a: NPTA) -> RegularTree | None:
     """Some accepted tree, or None when the language is empty."""
     game = emptiness_game(a)
     res = solve(game)
-    if ("s", a.initial) not in res.eve_region:
+    if game.positions[0] not in res.eve_region:
         return None
     return strategy_tree(a, res.eve_strategy.choice)
 
@@ -423,7 +423,7 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
 
 def member_alt(a: APTA, t: RegularTree) -> bool:
     game = acceptance_game(a, t)
-    return ("s", a.initial, t.root) in solve(game).eve_region
+    return game.positions[0] in solve(game).eve_region
 
 
 def npta_to_apta(a: NPTA) -> APTA:

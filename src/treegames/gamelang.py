@@ -47,10 +47,6 @@ class GameLabel(NamedTuple):
             raise TreeError(f"not a game label: {symbol!r}")
         return cls(symbol[1], int(symbol[3]))
 
-    @property
-    def symbol(self) -> str:
-        return f"({self.owner},{self.bit})"
-
 
 _GAME_LABELS = {symbol: GameLabel.from_symbol(symbol) for symbol in GAME_ALPHABET}
 # Owner and priority of the induced game's position at a node, by label.
@@ -117,16 +113,20 @@ class BorelCode:
 @dataclass(frozen=True)
 class Cyl(BorelCode):
     """Cylinder: all trees matching a finite assignment of game labels to
-    node words."""
+    node words.  A pair may repeat, but a word given two different labels
+    raises TreeError."""
 
     assign: tuple
 
     def __post_init__(self):
-        entries = dict(self.assign)
-        for word, symbol in entries.items():
+        entries = {}
+        for word, symbol in self.assign:
             check_node_word(word)
             if symbol not in GAME_ALPHABET:
                 raise TreeError(f"cylinder value {symbol!r} is not a game label")
+            if entries.setdefault(word, symbol) != symbol:
+                raise TreeError(f"cylinder word {word!r} has two labels, "
+                                f"{entries[word]!r} and {symbol!r}")
         object.__setattr__(self, "assign", tuple(sorted(entries.items())))
 
     @property

@@ -60,9 +60,9 @@ class ParityGame:
     solver, so equal inputs give equal outputs.
 
     ParityGame(positions, owner, priority, successors) takes name-keyed
-    mappings, validates and converts them.  The name-keyed `owner`,
-    `priority` and `successors` stay readable as read-only mappings, built
-    on first access."""
+    mappings, validates and converts them.  The read-only name-keyed
+    `priority` and `successors` views, built on first access, remain only
+    for bench/spans.py."""
 
     positions: tuple
     owners: tuple
@@ -97,10 +97,6 @@ class ParityGame:
     def _fill(self, positions, index, owners, prios, succs):
         self.__dict__.update(positions=tuple(positions), index=index, owners=tuple(owners),
                              prios=tuple(prios), succs=tuple(succs))
-
-    @cached_property
-    def owner(self):
-        return MappingProxyType(dict(zip(self.positions, self.owners)))
 
     @cached_property
     def priority(self):
@@ -465,10 +461,11 @@ def verify_strategy(g: ParityGame, strategy: Strategy, region, diagnostics=None)
 # Text format and DOT export.
 
 def game_to_text(g: ParityGame) -> str:
-    """Serialize; games with non-integer ids are relabeled, the original id
-    surviving as the record's name, with `"` written as `'` and line breaks
-    as spaces so that the record parses."""
-    named = not all(isinstance(v, int) and not isinstance(v, bool) for v in g.positions)
+    """Serialize; games with a position that is not a nonnegative int are
+    relabeled, the original id surviving as the record's name, with `"`
+    written as `'` and line breaks as spaces so that the record parses."""
+    named = not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                    for v in g.positions)
     ids = range(len(g.positions)) if named else g.positions
     lines = [f"parity {max(ids, default=0)};"]
     for i in sorted(range(len(ids)), key=ids.__getitem__):

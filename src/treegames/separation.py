@@ -85,12 +85,11 @@ def _level_move(a: NPTA, p: str, direction: str, n: int):
 
 @dataclass(frozen=True)
 class SeparatorHierarchy:
-    """Levels 0..n of the construction for one base automaton, as one APTA
-    whose states q@k run level k and whose initial state is the base's
-    initial state on level n.  Level k on its own is
-    build_hierarchy(base, k).top."""
+    """build_hierarchy(a, n): levels 0..n of the construction for a, as
+    one APTA `top` whose states q@k run level k and whose initial state is
+    a's initial state on level n.  Level k on its own is
+    build_hierarchy(a, k).top."""
 
-    base: NPTA
     top: APTA
 
 
@@ -109,7 +108,7 @@ def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
                 delta[s, letter] = transition_formula(
                     table, q, letter, lambda p, d: _level_move(a, p, d, n))
     top = APTA(a.alphabet, tuple(states), level_state(a.initial, up_to), delta, rank)
-    return SeparatorHierarchy(a, top)
+    return SeparatorHierarchy(top)
 
 
 def disjointness_witness(a: NPTA, b: NPTA) -> RegularTree | None:
@@ -117,10 +116,6 @@ def disjointness_witness(a: NPTA, b: NPTA) -> RegularTree | None:
     _require_buchi(a)
     _require_buchi(b)
     return witness(intersection_product(a, b))
-
-
-def check_disjoint_buchi(a: NPTA, b: NPTA) -> bool:
-    return disjointness_witness(a, b) is None
 
 
 def synthesize_separator(a: NPTA, b: NPTA, level: int | None = None) -> APTA:
@@ -172,17 +167,16 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
         raise ValueError("sample count must be positive")
     game = emptiness_game(a)
     res = solve(game)
-    start = ("s", a.initial)
-    if start not in res.eve_region:
-        raise EmptyLanguage("language is empty")
 
     # Draws and walks run on ids; the start is id 0.  Eve's region holds
-    # her chosen moves and all of Adam's, so every state position the walk
+    # her chosen moves and all of Adam's, so every Eve position the walk
     # meets has a choice.  A strategy is named only when it is verified.
     names, succs = game.positions, game.succs
     won = [pos in res.eve_region for pos in names]
+    if not won[0]:
+        raise EmptyLanguage("language is empty")
     options = {i: [j for j in succs[i] if won[j]]
-               for i, pos in enumerate(names) if pos[0] == "s" and won[i]}
+               for i, o in enumerate(game.owners) if o == EVE and won[i]}
 
     def walk(choice):
         # The walk is fixed by Eve's moves in the order it meets them, so

@@ -191,19 +191,16 @@ def bisimilar(t1: RegularTree, t2: RegularTree) -> bool:
     return _first_disagreement(t1, t2) is None
 
 
-def tree_distance(t1: RegularTree, t2: RegularTree, depth_cap: int | None = None) -> Fraction:
+def tree_distance(t1: RegularTree, t2: RegularTree) -> Fraction:
     """Exact tree metric 2^-n, n the length of the shortest disagreeing word.
 
     Returns 0 when the trees are equal.  The search runs over the finite
     product of the generators, so it always terminates; a disagreement can
-    only surface at depth below the product size.  `depth_cap`, if given,
-    bounds the reported n and raises if the first disagreement lies deeper.
+    only surface at depth below the product size.
     """
     depth = _first_disagreement(t1, t2)
     if depth is None:
         return Fraction(0)
-    if depth_cap is not None and depth > depth_cap:
-        raise TreeError(f"first disagreement at depth {depth} exceeds cap {depth_cap}")
     return Fraction(1, 2 ** depth)
 
 
@@ -226,12 +223,6 @@ class LetterRenaming:
             return self.mapping[symbol]
         except KeyError:
             raise TreeError(f"symbol {symbol!r} outside renaming domain") from None
-
-    def inverse(self) -> "LetterRenaming":
-        return LetterRenaming({v: k for k, v in self.mapping.items()})
-
-    def is_involution(self) -> bool:
-        return all(self.mapping[v] == k for k, v in self.mapping.items())
 
 
 def rename_tree(t: RegularTree, renaming: LetterRenaming) -> RegularTree:

@@ -104,17 +104,27 @@ def odd_dominated_cycle(nodes, succ, rank) -> bool:
     return False
 
 
+def successor_names(g: ParityGame) -> dict:
+    """Each position's successor names, read off the id arrays."""
+    names = g.positions
+    return {v: tuple(names[j] for j in s) for v, s in zip(names, g.succs)}
+
+
 def brute_force_solve(g: ParityGame) -> SolveResult:
     """Oracle solver: enumerate positional strategy pairs, walk the forced
     lasso from every position, take the minimax.  Positional determinacy
     makes this exact.  Refuses games whose strategy-pair count (product of
     out-degrees over owned non-dead-end positions) exceeds a million."""
     bound = 10 ** 6
-    eve_pos = [v for v in g.positions if g.owner[v] == EVE and g.successors[v]]
-    adam_pos = [v for v in g.positions if g.owner[v] == ADAM and g.successors[v]]
+    names = g.positions
+    owner = dict(zip(names, g.owners))
+    priority = dict(zip(names, g.prios))
+    successors = successor_names(g)
+    eve_pos = [v for v in names if owner[v] == EVE and successors[v]]
+    adam_pos = [v for v in names if owner[v] == ADAM and successors[v]]
     total = 1
     for v in eve_pos + adam_pos:
-        total *= len(g.successors[v])
+        total *= len(successors[v])
         if total > bound:
             raise GameError(f"strategy space larger than {bound}")
 
@@ -124,19 +134,19 @@ def brute_force_solve(g: ParityGame) -> SolveResult:
         v = start
         while True:
             if v in at:
-                cycle_max = max(g.priority[u] for u in path[at[v]:])
+                cycle_max = max(priority[u] for u in path[at[v]:])
                 return cycle_max % 2
             at[v] = len(path)
             path.append(v)
             nxt = choice.get(v)
             if nxt is None:
-                return 1 - g.owner[v]
+                return 1 - owner[v]
             v = nxt
 
     eve_choices = [dict(zip(eve_pos, combo))
-                   for combo in itertools.product(*(g.successors[v] for v in eve_pos))]
+                   for combo in itertools.product(*(successors[v] for v in eve_pos))]
     adam_choices = [dict(zip(adam_pos, combo))
-                    for combo in itertools.product(*(g.successors[v] for v in adam_pos))]
+                    for combo in itertools.product(*(successors[v] for v in adam_pos))]
 
     n = len(g.positions)
     eve_all = [[True] * n for _ in eve_choices]
@@ -456,7 +466,8 @@ def reference_sample(a: NPTA, n: int, seed: int) -> list:
     start = ("s", a.initial)
     if start not in res.eve_region:
         raise ValueError("language is empty")
-    options = {pos: [w for w in game.successors[pos] if w in res.eve_region]
+    successors = successor_names(game)
+    options = {pos: [w for w in successors[pos] if w in res.eve_region]
                for pos in game.positions if pos[0] == "s" and pos in res.eve_region}
     rng = random.Random(seed)
     trees = []
@@ -466,7 +477,7 @@ def reference_sample(a: NPTA, n: int, seed: int) -> list:
         frontier = [start]
         while frontier:
             pos = frontier.pop()
-            for nxt in (choice[pos],) if pos[0] == "s" else game.successors[pos]:
+            for nxt in (choice[pos],) if pos[0] == "s" else successors[pos]:
                 if nxt not in reach:
                     reach.add(nxt)
                     frontier.append(nxt)

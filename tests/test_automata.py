@@ -402,8 +402,7 @@ def test_alternating_matches_nondeterministic():
 def test_acceptance_game_priorities_follow_the_owning_state():
     a = npta_to_apta(builtin("L"))
     g = acceptance_game(a, all_one())
-    priorities = set(g.priority.values())
-    assert priorities <= {1, 2}
+    assert set(g.prios) <= {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,7 @@ from helpers import (
     random_game,
     random_npta,
     reference_solve,
+    successor_names,
 )
 
 
@@ -328,7 +330,7 @@ def test_explore_gives_ids_in_breadth_first_discovery_order():
     assert g.positions == ("r", "a", "b", "c", "d")
     assert g.index == {"r": 0, "a": 1, "b": 2, "c": 3, "d": 4}
     assert g.succs == ((1, 2), (3, 2), (0, 0), (4, 3), ())
-    assert dict(g.successors) == succ
+    assert successor_names(g) == succ
 
     rng = random.Random(413)
     for trial in range(200):
@@ -394,11 +396,10 @@ def test_solve_is_independent_of_position_names():
              for i in range(n)})
         sparse = rng.sample(range(10 * n), n)
         for name in ((lambda i: ("p", i, str(i))), str, sparse.__getitem__):
+            names = tuple(map(name, g.positions))
             renamed = ParityGame(
-                tuple(map(name, g.positions)),
-                {name(v): o for v, o in g.owner.items()},
-                {name(v): p for v, p in g.priority.items()},
-                {name(v): tuple(map(name, s)) for v, s in g.successors.items()})
+                names, dict(zip(names, g.owners)), dict(zip(names, g.prios)),
+                {v: tuple(names[j] for j in s) for v, s in zip(names, g.succs)})
             want, got = solve(g), solve(renamed)
             assert got.eve_region == frozenset(map(name, want.eve_region)), (trial, g)
             assert got.adam_region == frozenset(map(name, want.adam_region)), (trial, g)
@@ -424,6 +425,19 @@ def test_text_format_round_trip():
         assert (back.owners, back.prios, back.succs) == (g.owners, g.prios, g.succs)
 
 
+def test_text_format_relabels_negative_ids():
+    # Text ids are nonnegative, so a game with a negative int position is
+    # written like any other named game and parses back relabeled.
+    g = game({-1: EVE, 0: ADAM, 1: EVE}, {-1: 3, 0: 2, 1: 0},
+             {-1: (0,), 0: (-1, 0), 1: (1,)})
+    back = game_from_text(game_to_text(g))
+    relabel = {-1: 0, 0: 1, 1: 2}
+    assert back.positions == (0, 1, 2)
+    want, got = solve(g), solve(back)
+    assert got.eve_region == frozenset(map(relabel.get, want.eve_region))
+    assert got.adam_region == frozenset(map(relabel.get, want.adam_region))
+
+
 def test_text_format_example():
     text = game_to_text(game({0: EVE, 1: ADAM}, {0: 1, 1: 2},
                              {0: (0, 1), 1: ()}))
@@ -431,6 +445,14 @@ def test_text_format_example():
     assert lines[0] == "parity 1;"
     assert lines[1] == "0 1 0 0,1;"
     assert lines[2] == "1 2 1;"
+
+
+def test_readme_game_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"Games use a plain text format.*?```\n(.*?)```", readme, re.S)
+    g = game_from_text(block.group(1))
+    assert g.positions == (0, 1, 2)
+    assert (g.prios, g.owners, g.succs) == ((1, 2, 0), (0, 1, 1), ((0, 1), (2,), ()))
 
 
 def test_text_parse_errors_name_the_line():

@@ -49,7 +49,6 @@ def neither_tree():
 
 def test_game_label_parsing():
     assert GameLabel.from_symbol("(E,0)") == GameLabel("E", 0)
-    assert GameLabel("A", 1).symbol == "(A,1)"
     with pytest.raises(TreeError):
         GameLabel.from_symbol("(X,0)")
 
@@ -57,9 +56,10 @@ def test_game_label_parsing():
 def test_game_of_tree_structure():
     t = neither_tree()
     g = game_of_tree(t)
-    assert g.owner["e"] == EVE and g.owner["a"] == ADAM
-    assert g.priority["e"] == 1 and g.priority["a"] == 0
-    assert g.successors["e"] == ("a", "a")
+    e, a = g.index["e"], g.index["a"]
+    assert g.owners[e] == EVE and g.owners[a] == ADAM
+    assert g.prios[e] == 1 and g.prios[a] == 0
+    assert g.succs[e] == (a, a)
 
 
 def random_game_trees(rng, count):
@@ -180,6 +180,14 @@ def test_code_construction_and_rank():
         Cyl((("1", "x"),))
     with pytest.raises(TreeError):
         Union((), None)
+
+
+def test_cylinder_rejects_two_labels_for_one_word():
+    # Keeping either label would make the coded set depend on pair order.
+    for pairs in ((("", "(E,0)"), ("", "(A,1)")), (("", "(A,1)"), ("", "(E,0)"))):
+        with pytest.raises(TreeError, match="two labels"):
+            Cyl(pairs)
+    assert Cyl((("", "(E,0)"), ("", "(E,0)"))) == Cyl((("", "(E,0)"),))
 
 
 def test_eval_borel_frozen_cases():

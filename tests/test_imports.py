@@ -1,5 +1,6 @@
-"""Every name imported by a package module or a test module is used, and
-every module-level name of the package is exported or used."""
+"""Every name imported by a package module or a test module is used,
+every module-level name of the package is exported or used, and every
+method or property of a package class is used outside the tests."""
 
 import ast
 import re
@@ -60,6 +61,20 @@ def dead_names() -> list:
     exported = {alias.name for node in ast.walk(modules.pop("__init__.py"))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     exported |= set(re.findall(r'"treegames\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    references = _references(modules)
+    dead = []
+    for module, tree in modules.items():
+        for name, (first, last) in _defined_names(tree).items():
+            if name in exported:
+                continue
+            if not _referenced(name, module, first, last, references):
+                dead.append((module, name))
+    return dead
+
+
+def _references(modules: dict) -> list:
+    """(module, line, name) of each name, attribute and imported name that
+    the parsed modules mention."""
     references = []
     for module, tree in modules.items():
         for node in ast.walk(tree):
@@ -69,16 +84,44 @@ def dead_names() -> list:
                 references.append((module, node.lineno, node.attr))
             elif isinstance(node, ast.ImportFrom):
                 references += [(module, node.lineno, alias.name) for alias in node.names]
-    dead = []
-    for module, tree in modules.items():
-        for name, (first, last) in _defined_names(tree).items():
-            if name in exported:
-                continue
-            if not any(ref == name and not (where == module and first <= line <= last)
-                       for where, line, ref in references):
-                dead.append((module, name))
-    return dead
+    return references
+
+
+def _referenced(name, module, first, last, references) -> bool:
+    """Whether some reference to `name` lies outside lines first..last of
+    `module`, the definition itself."""
+    return any(ref == name and not (where == module and first <= line <= last)
+               for where, line, ref in references)
 
 
 def test_no_dead_names():
     assert dead_names() == []
+
+
+def dead_members() -> list:
+    """(module, class, member) of each method or property that a package
+    class defines and that no package module and no bench/*.py file
+    references outside the member's own definition.  Dunder methods are
+    exempt.  Like dead_names, this matches by name alone, so it misses a
+    dead member whose name is used for anything else, such as an attribute
+    of another class."""
+    modules = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    readers = dict(modules)
+    readers.update({f"bench/{p.name}": ast.parse(p.read_text(), str(p))
+                    for p in sorted((ROOT / "bench").glob("*.py"))})
+    references = _references(readers)
+    dead = []
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
+                    continue
+                if not _referenced(node.name, module, node.lineno, node.end_lineno, references):
+                    dead.append((module, cls.name, node.name))
+    return dead
+
+
+def test_no_dead_members():
+    assert dead_members() == []

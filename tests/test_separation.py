@@ -21,7 +21,6 @@ from treegames.separation import (
     EmptyLanguage,
     NotDisjoint,
     build_hierarchy,
-    check_disjoint_buchi,
     disjointness_witness,
     example_pairs,
     report_to_json,
@@ -99,8 +98,7 @@ def test_hierarchy_wants_buchi_ranks():
 
 
 def test_disjointness_decision():
-    assert check_disjoint_buchi(singleton("0"), singleton("1"))
-    assert not check_disjoint_buchi(builtin("L"), singleton("1"))
+    assert disjointness_witness(singleton("0"), singleton("1")) is None
     w = disjointness_witness(builtin("L"), singleton("1"))
     assert member(builtin("L"), w) and member(singleton("1"), w)
 
@@ -237,7 +235,7 @@ def test_example_pairs_are_disjoint_and_separable():
     pairs = example_pairs()
     assert len(pairs) >= 5
     for pair in pairs:
-        assert check_disjoint_buchi(pair.a, pair.b), pair.name
+        assert disjointness_witness(pair.a, pair.b) is None, pair.name
         separator = synthesize_separator(pair.a, pair.b, level=pair.level)
         report = verify_separation(separator, pair.a, pair.b, 12, 9)
         assert report.passed, (pair.name, report.failures)
