@@ -102,12 +102,9 @@ def is_buchi(a) -> bool:
 
 
 def is_deterministic(a: NPTA) -> bool:
-    seen = set()
-    for q, letter, _, _ in a.transitions:
-        if (q, letter) in seen:
-            return False
-        seen.add((q, letter))
-    return True
+    # An NPTA's transitions are distinct, so every group is a single
+    # transition exactly when no (state, letter) pair repeats.
+    return len(transition_table(a)) == len(a.transitions)
 
 
 def transition_table(a: NPTA) -> dict:

@@ -166,6 +166,8 @@ def cmd_reduce(args) -> int:
 def cmd_separate(args) -> int:
     a = _load_npta(args.a)
     b = _load_npta(args.b)
+    if args.samples < 1:
+        raise ValueError("sample count must be positive")
     separator = synthesize_separator(a, b, level=args.level)
     report = verify_separation(separator, a, b, args.samples, args.seed)
     artifact = apta_to_json(separator)

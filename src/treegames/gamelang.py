@@ -31,7 +31,7 @@ from .trees import (
     rename_tree,
     same_symbols,
 )
-from .games import EVE, ADAM, ParityGame, explore, solve
+from .games import EVE, ADAM, ParityGame, solve
 from .automata import BINARY, GAME_ALPHABET, DUALITY, builtin, member
 
 
@@ -62,18 +62,21 @@ def _require_game_alphabet(t: RegularTree):
 
 
 def game_of_tree(t: RegularTree) -> ParityGame:
-    """The induced parity game on the tree's generator nodes.
-
-    The generator keeps its nodes in breadth-first order from the root, the
-    order explore() would find them in, so node i is position i and the
-    arrays are read straight off the label and child maps."""
+    """The induced parity game on the tree's generator nodes."""
     _require_game_alphabet(t)
+    labels = t.label.values()
+    return _generator_game(t, map(_OWNERS.__getitem__, labels), map(_BITS.__getitem__, labels))
+
+
+def _generator_game(t: RegularTree, owners, prios) -> ParityGame:
+    # The game on the generator with the given owner and priority arrays.
+    # The generator keeps its nodes in breadth-first order from the root,
+    # the order explore() would find them in, so node i is position i and
+    # the successors are read straight off the child maps.
     nodes = t.nodes
     index = dict(zip(nodes, range(len(nodes))))
-    labels = t.label.values()
     succs = zip(map(index.__getitem__, t.left.values()), map(index.__getitem__, t.right.values()))
-    return ParityGame._of(nodes, index, map(_OWNERS.__getitem__, labels),
-                          map(_BITS.__getitem__, labels), succs)
+    return ParityGame._of(nodes, index, owners, prios, succs)
 
 
 def in_w01(t: RegularTree) -> bool:
@@ -228,14 +231,12 @@ def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
     if i not in (0, 1) or k < i:
         raise TreeError("labels must run from i in {0,1} to k >= i")
     priority = {str(m): m for m in range(i, k + 1)}
-
-    def expand(v):
-        p = priority.get(t.label[v])
-        if p is None:
-            raise TreeError(f"label {t.label[v]!r} outside {sorted(priority)}")
-        return ADAM, p, (t.left[v], t.right[v])
-
-    return t.root in solve(explore(t.root, expand)).eve_region
+    prios = list(map(priority.get, t.label.values()))
+    if None in prios:
+        # The first such node in breadth-first order, as a walk would meet it.
+        bad = list(t.label.values())[prios.index(None)]
+        raise TreeError(f"label {bad!r} outside {sorted(priority)}")
+    return t.root in solve(_generator_game(t, [ADAM] * len(prios), prios)).eve_region
 
 
 def in_rightmost_separator(t: RegularTree) -> bool:

@@ -133,7 +133,8 @@ def _ids(v, names, index):
 
 def explore(start, expand) -> ParityGame:
     """Game reachable from `start`, ids handed out in breadth-first
-    discovery order.
+    discovery order.  Games on automata are built by it; games on a
+    tree's generator are read off it, its nodes already in this order.
 
     expand(pos) returns (owner, priority, successors)."""
     positions = [start]

@@ -70,8 +70,10 @@ class RegularTree:
 
     Construction trims nodes unreachable from the root and checks that the
     label and both child maps are total on what remains, so a RegularTree
-    always generates a total labeling of all node words.  Node ids may be any
-    hashable value; serialization relabels non-scalar ids.
+    always generates a total labeling of all node words.  One breadth-first
+    walk lists the reachable nodes; when it fails, the first error is named
+    from the nodes it listed.  Node ids may be any hashable value;
+    serialization relabels non-scalar ids.
     """
 
     alphabet: Alphabet
@@ -81,17 +83,19 @@ class RegularTree:
     right: dict
 
     def __post_init__(self):
-        order = self._bulk_order() or self._checked_order()
+        order = self._order()
         # Keep reachable nodes only, in breadth-first order from the root.
         for name in ("label", "left", "right"):
             m = getattr(self, name)
             object.__setattr__(self, name, dict(zip(order, map(m.__getitem__, order))))
 
-    def _bulk_order(self):
+    def _order(self):
         # Reachable nodes in breadth-first order, walked without per-node
-        # checks; None when some reachable node lacks a child or a label in
-        # the alphabet, which _checked_order then names.
-        left, right = self.left, self.right
+        # checks.  When some reachable node lacks a child or a label in the
+        # alphabet, the nodes the walk listed are scanned for the first
+        # error in the order a checked walk would meet it: they are a prefix
+        # of its order, and the first bad edge starts inside that prefix.
+        label, left, right = self.label, self.left, self.right
         order, seen = [self.root], {self.root}
         try:
             for v in order:
@@ -103,32 +107,20 @@ class RegularTree:
                 if c not in seen:
                     seen.add(c)
                     order.append(c)
-            if set(map(self.label.__getitem__, order)) <= set(self.alphabet.symbols):
+            if set(map(label.__getitem__, order)) <= set(self.alphabet.symbols):
                 return order
         except (KeyError, TypeError):
             pass
-        return None
-
-    def _checked_order(self):
-        # The same walk with every node checked: raises the first TreeError.
-        if self.root not in self.label:
+        if self.root not in label:
             raise TreeError(f"root {self.root!r} has no label")
-        order = [self.root]
-        seen = {self.root}
         for v in order:
-            for child_map, side in ((self.left, "left"), (self.right, "right")):
+            for child_map, side in ((left, "left"), (right, "right")):
                 if v not in child_map:
                     raise TreeError(f"node {v!r} has no {side} child")
-                c = child_map[v]
-                if c not in self.label:
-                    raise TreeError(f"{side} child {c!r} of {v!r} is not a labeled node")
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-        for v in order:
-            if self.label[v] not in self.alphabet:
-                raise TreeError(f"label {self.label[v]!r} of node {v!r} is not in the alphabet")
-        return order
+                if child_map[v] not in label:
+                    raise TreeError(f"{side} child {child_map[v]!r} of {v!r} is not a labeled node")
+        v = next(v for v in order if label[v] not in self.alphabet)
+        raise TreeError(f"label {label[v]!r} of node {v!r} is not in the alphabet")
 
     @property
     def nodes(self) -> tuple:
@@ -228,7 +220,7 @@ class LetterRenaming:
 def rename_tree(t: RegularTree, renaming: LetterRenaming) -> RegularTree:
     """Tree with every label replaced by its image under the renaming."""
     new_label = {v: renaming.apply(s) for v, s in t.label.items()}
-    return RegularTree(t.alphabet, t.root, new_label, dict(t.left), dict(t.right))
+    return RegularTree(t.alphabet, t.root, new_label, t.left, t.right)
 
 
 def graft_spine(subtrees_head, subtrees_tail, spine_label: str) -> RegularTree:

@@ -413,6 +413,23 @@ def game_of_tree_by_explore(t: RegularTree) -> ParityGame:
     return explore(t.root, expand)
 
 
+def parity_lang_member_by_explore(t: RegularTree, i: int, k: int) -> bool:
+    """Oracle for gamelang.parity_lang_member: Adam's game on the generator
+    found by explore() from the root, each node's label mapped to its
+    priority when the node is expanded."""
+    if i not in (0, 1) or k < i:
+        raise TreeError("labels must run from i in {0,1} to k >= i")
+    priority = {str(m): m for m in range(i, k + 1)}
+
+    def expand(v):
+        p = priority.get(t.label[v])
+        if p is None:
+            raise TreeError(f"label {t.label[v]!r} outside {sorted(priority)}")
+        return ADAM, p, (t.left[v], t.right[v])
+
+    return t.root in solve(explore(t.root, expand)).eve_region
+
+
 def det_member_oracle(a: NPTA, t: RegularTree) -> bool:
     """Membership for a deterministic automaton by inspecting the product
     of the generator with the automaton: the unique run exists and no

@@ -1,8 +1,10 @@
 """Command-line interface: document round-trips, exit codes, play mode."""
 
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -296,7 +298,8 @@ def test_sample_empty_language_is_a_precondition_failure(tmp_path, capsys):
 def test_sample_and_separate_agree_on_a_bad_sample_count(tmp_path, capsys):
     zero, one = singleton_file(tmp_path, "0"), singleton_file(tmp_path, "1")
     for argv in (("sample", "--automaton", zero, "--samples", "0"),
-                 ("separate", zero, one, "--samples", "0")):
+                 ("separate", zero, one, "--samples", "0"),
+                 ("separate", "L", "L", "--samples", "0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "sample count must be positive" in err, (argv, err)
 
@@ -308,6 +311,20 @@ def test_builtin_output_reparses(capsys):
         assert automaton_from_json(json.loads(out)) == builtin(name)
     code, _, err = run(capsys, "builtin", "wat")
     assert code == 2 and "wat" in err
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    # The target that pyproject.toml names for the installed `treegames`
+    # command, called as the script wrapper calls it.
+    with open(os.path.join(os.path.dirname(GOLDEN), os.pardir, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]\n")[1].split("\n[")[0]
+    module, func = re.fullmatch(r'treegames = "([\w.]+):(\w+)"\n*', scripts).groups()
+    monkeypatch.setattr(sys, "argv", ["treegames", "builtin", "L"])
+    with pytest.raises(SystemExit) as info:
+        getattr(importlib.import_module(module), func)()
+    assert info.value.code == 0
+    with open(os.path.join(GOLDEN, "builtin_L.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_builtin_golden_files(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treegames.trees import (
+    Alphabet,
     RegularTree,
     TreeError,
     bisimilar,
@@ -36,7 +37,12 @@ from treegames.gamelang import (
     reduce_borel,
 )
 
-from helpers import game_of_tree_by_explore, random_code, unfold_with_tail
+from helpers import (
+    game_of_tree_by_explore,
+    parity_lang_member_by_explore,
+    random_code,
+    unfold_with_tail,
+)
 
 
 def neither_tree():
@@ -258,6 +264,12 @@ def test_code_json_round_trip():
     for _ in range(40):
         code = random_code(rng, 3)
         assert code_from_json(code_to_json(code)) == code
+    for not_a_code in (None, "cyl", {"kind": "cyl", "assign": {}}):
+        for call in (lambda: eval_borel(not_a_code, ALL_EXISTS_ZERO),
+                     lambda: reduce_borel(not_a_code, ALL_EXISTS_ZERO),
+                     lambda: read_depth(not_a_code), lambda: code_to_json(not_a_code)):
+            with pytest.raises(TreeError, match="not a Borel code"):
+                call()
     for doc in ({"kind": "wat"}, {"kind": "union"}, ["cyl"], {}, {"kind": "neg"},
                 {"kind": "cyl", "assign": [["1", "(E,0)"]]},
                 {"kind": "union", "head": {"kind": "cyl", "assign": {}}}):
@@ -288,6 +300,30 @@ def test_parity_lang_matches_the_chain_automaton():
     for _ in range(100):
         t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
         assert parity_lang_member(t, 0, 1) == member(m01, t), t
+
+
+def parity_outcome(decide, t, i, k):
+    try:
+        return decide(t, i, k)
+    except TreeError as exc:
+        return str(exc)
+
+
+def test_parity_lang_matches_the_explore_oracle():
+    rng = random.Random(429)
+    digits = Alphabet(("0", "1", "2", "3"))
+    for trial in range(300):
+        t = random_regular_tree(digits, 6, rng.randrange(10 ** 6))
+        i = rng.randint(0, 1)
+        k = rng.randint(i, 3)
+        want = parity_outcome(parity_lang_member_by_explore, t, i, k)
+        assert parity_outcome(parity_lang_member, t, i, k) == want, (trial, t, i, k)
+    # Two labels outside 0..1: "2" at depth 2 down the left, "3" at depth 1
+    # on the right.  Breadth-first order meets the "3" first.
+    t = RegularTree(digits, 0, {3: "2", 2: "3", 1: "0", 0: "0"},
+                    {0: 1, 1: 3, 2: 2, 3: 3}, {0: 2, 1: 1, 2: 2, 3: 3})
+    for decide in (parity_lang_member, parity_lang_member_by_explore):
+        assert parity_outcome(decide, t, 0, 1) == "label '3' outside ['0', '1']"
 
 
 def test_rightmost_separator_against_buchi_twin():

@@ -346,6 +346,23 @@ def test_bulk_tree_check_matches_the_node_by_node_oracle():
         if isinstance(want, str):
             errors.update(k for k, pattern in CHECK_ERRORS.items() if re.search(pattern, want))
     assert errors == set(CHECK_ERRORS)
+    # Walks that fail partway: an unlabeled left child beside a missing
+    # right one; a missing child late in the walk after an unlabeled node
+    # listed earlier; an unhashable child after an unlabeled one.
+    for label, left, right in (
+            ({0: "a"}, {0: 1}, {}),
+            ({0: "a", 1: "b", 3: "a"}, {0: 1, 1: 3, 2: 2, 3: 3}, {0: 2, 1: 1, 2: 2}),
+            ({0: "a"}, {0: 5}, {0: [1]})):
+        want = tree_outcome(regular_tree_by_checks, AB, 0, label, left, right)
+        assert isinstance(want, str), want
+        assert tree_outcome(RegularTree, AB, 0, label, left, right) == want
+    # An unhashable child id with no error before it raises TypeError.
+    messages = []
+    for build in (RegularTree, regular_tree_by_checks):
+        with pytest.raises(TypeError) as info:
+            build(AB, 0, {0: "a", 1: "b"}, {0: 1, 1: 1}, {0: 1, 1: [0]})
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_dump_load_files(tmp_path):
