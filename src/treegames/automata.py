@@ -52,12 +52,13 @@ def _check_header(a) -> set:
     state, and a nonnegative int rank on every state and no other.  Stores
     states as a tuple and rank as a copy; returns the state set."""
     object.__setattr__(a, "states", tuple(a.states))
-    if len(set(a.states)) != len(a.states):
-        raise AutomatonError("duplicate states")
+    # Types first: a list or dict among the states cannot be hashed.
     for q in a.states:
         if not isinstance(q, str):
             raise AutomatonError(f"state {q!r} is not a string")
     states = set(a.states)
+    if len(states) != len(a.states):
+        raise AutomatonError("duplicate states")
     if a.initial not in states:
         raise AutomatonError(f"initial state {a.initial!r} unknown")
     if set(a.rank) != states:

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .trees import (
     TreeError,
@@ -270,7 +271,9 @@ def cmd_play(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and kept: parse_args leaves it as it was.
     parser = argparse.ArgumentParser(
         prog="treegames",
         description="parity games, tree automata and separators "

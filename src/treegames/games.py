@@ -32,14 +32,19 @@ Games also travel in a line-per-position text format:
 
 Header, then one record per position: id, priority, owner (0 = Eve,
 1 = Adam), comma-separated successors (empty for a dead end) and an
-optional quoted name.  Every record ends with a semicolon.
+optional quoted name.  Every record ends with a semicolon.  Plain texts,
+with ids 0..n-1 in file order and no names, as game_to_text writes games
+on the positions 0..n-1, are checked and converted in bulk; a line loop
+parses the rest and names the first error.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat, zip_longest
 from types import MappingProxyType
 
 EVE = 0
@@ -485,12 +490,66 @@ def game_to_text(g: ParityGame) -> str:
 _HEADER = re.compile(r"parity\s+\d+\s*")
 _RECORD = re.compile(
     r'(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"[^"]*")?\s*')
+# On these characters JSON accepts only successor lists that _RECORD accepts,
+# and reads the same numbers off them.
+_PLAIN_MOVES = re.compile(r"[0-9, \t]*")
+_OWNERS = {"0": EVE, "1": ADAM}
 
 
 def game_from_text(text: str) -> ParityGame:
     """Parse the text format.  Errors carry the 1-based line number, and
-    the first error in line order is the one raised."""
-    # The loop only matches lines; numbers are converted after it, in bulk.
+    the first error in line order is the one raised.
+
+    Plain texts, as game_to_text writes games on the positions 0..n-1,
+    are checked and converted in bulk; the line loop parses the rest and
+    names the first error."""
+    try:
+        g = _plain_game(list(filter(None, map(str.strip, text.splitlines()))))
+    except ValueError:
+        # What the bulk path raises on (a record of fewer than three fields,
+        # a number JSON rejects or one past int()'s digit limit) is left to
+        # the line loop, which decides what error, if any, comes first.
+        g = None
+    return _game_from_lines(text) if g is None else g
+
+
+def _plain_game(lines):
+    # The game of a text's stripped nonblank lines, or None when they are
+    # not plain: each ends in its only ';', the header is 'parity' and a
+    # number, ids run 0..n-1 in file order, no record holds a name, and
+    # every successor list is a JSON list of ids.  Such lines parse one by
+    # one, without error, to the same game.
+    n = len(lines) - 1
+    body = "\n".join(lines)
+    if body.count(";") != n + 1 or (body + "\n").count(";\n") != n + 1:
+        return None
+    head, *records = body.replace(";", "").split("\n")
+    head = head.split()
+    if len(head) != 2 or head[0] != "parity" or not head[1].isdecimal():
+        return None
+    # One column per field; a dead end's record has no successor field.
+    columns = list(zip_longest(*map(str.split, records, repeat(None), repeat(3)),
+                               fillvalue=""))
+    if len(columns) == 3:
+        columns.append(("",) * n)
+    ids, prios, owners, moves = columns
+    if not "".join(ids + prios).isdecimal() or _PLAIN_MOVES.fullmatch("".join(moves)) is None:
+        return None
+    numbers = json.loads("[" + ",".join(ids + prios) + "]")
+    owners = list(map(_OWNERS.get, owners))
+    if numbers[:n] != list(range(n)) or None in owners:
+        return None
+    succs = json.loads("[[" + "],[".join(moves) + "]]")
+    if max(chain.from_iterable(succs), default=-1) >= n:
+        return None
+    positions = tuple(range(n))
+    return ParityGame._of(positions, dict(zip(positions, positions)), owners, numbers[n:],
+                          map(tuple, succs))
+
+
+def _game_from_lines(text):
+    # The line loop only matches lines; numbers are converted after it, in
+    # bulk.
     header, error = False, None
     fields = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -43,11 +43,12 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise TreeError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise TreeError("alphabet symbols must be distinct")
+        # Types first: a list or dict among the symbols cannot be hashed.
         for s in self.symbols:
             if not isinstance(s, str):
                 raise TreeError(f"symbol {s!r} is not a string")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise TreeError("alphabet symbols must be distinct")
 
     def __contains__(self, symbol):
         return symbol in self.symbols

@@ -472,6 +472,44 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_unhashable_symbols_and_states_are_input_errors(tmp_path, capsys):
+    # A list among the symbols or states used to escape main as a TypeError
+    # from a set() taken before the type check, exiting 1 like a verdict.
+    header = {"states": ["q"], "initial": "q", "ranks": {"q": 0}, "transitions": []}
+    cases = {
+        "list-symbol.json": ("empty", "--automaton", dict(header, alphabet=["0", ["0", "1"]])),
+        "list-state.json": ("empty", "--automaton",
+                            dict(header, alphabet=["0", "1"], states=["q", ["x"]])),
+        "list-tree-symbol.json": ("gtl", "--tree", {
+            "alphabet": ["(E,0)", ["(E,1)"]], "root": "r",
+            "nodes": [{"id": "r", "label": "(E,0)", "left": "r", "right": "r"}]}),
+    }
+    messages = ("symbol ['0', '1'] is not a string", "state ['x'] is not a string",
+                "symbol ['(E,1)'] is not a string")
+    for (name, (command, flag, doc)), message in zip(cases.items(), messages):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, flag, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
+
+
+def test_repeated_calls_do_not_leak_flags(tmp_path, capsys):
+    # The argument parser is built once per process; a flag given to one
+    # call is not seen by the next.
+    a, b = singleton_file(tmp_path, "0"), singleton_file(tmp_path, "1")
+    runs = [run(capsys, "separate", a, b, "--samples", "5", *level)
+            for level in ((), ("--level", "2"), ())]
+    assert runs[0] == runs[2] and runs[0][0] == 0
+    assert json.loads(runs[1][1])["separator"] != json.loads(runs[0][1])["separator"]
+    game = tmp_path / "g.txt"
+    game.write_text("parity 1;\n0 1 0 0,1;\n1 0 1 1;\n")
+    dot = tmp_path / "g.dot"
+    with_dot = run(capsys, "solve", "--game", str(game), "--dot", str(dot))
+    dot.unlink()
+    assert run(capsys, "solve", "--game", str(game)) == with_dot
+    assert not dot.exists()
+
+
 def test_unwritable_output_prints_nothing(tmp_path, capsys):
     tree = write_tree(tmp_path, "t.json", ALL_EXISTS_ZERO)
     game = tmp_path / "g.txt"

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from treegames import games
 from treegames.games import (
     ADAM,
     EVE,
@@ -26,6 +27,7 @@ from treegames.games import (
     solve,
     verify_strategy,
 )
+from treegames.games import _plain_game as plain_game
 from treegames.trees import RegularTree, constant_tree, random_regular_tree
 from treegames.automata import (
     BINARY,
@@ -480,12 +482,15 @@ PARSE_ERRORS = ("does not end with ';'", "expected header", "malformed position 
 
 def random_game_lines(rng):
     # Header and records of a small game in the text format, positions in
-    # random order, with every kind of space the grammar allows.
+    # random order, with every kind of space the grammar allows; or, half
+    # the time, a plain text: ids 0..n-1 in order, no names and only ASCII
+    # space around the commas.
     n = rng.randint(0, 6)
-    ids = rng.sample(range(12), n)
+    plain = rng.random() < 0.5
+    ids = list(range(n)) if plain else rng.sample(range(12), n)
 
     def gap():
-        return rng.choice(GAPS)
+        return rng.choice(GAPS[:-1] if plain else GAPS)
 
     lines = [f"{gap()}parity{rng.choice(SPACES)}{rng.randint(0, 12)}{gap()};{gap()}"]
     for v in ids:
@@ -494,16 +499,38 @@ def random_game_lines(rng):
         succ = [str(rng.choice(ids)) for _ in range(rng.randint(0, 3))]
         if succ:
             record += rng.choice(("", " ")) + (gap() + "," + gap()).join(succ)
-        if rng.random() < 0.3:
+        if not plain and rng.random() < 0.3:
             record += gap() + '"' + rng.choice(("", "x", "a b", "(0, 'q')", "é")) + '"'
         lines.append(gap() + record + gap() + ";" + gap())
     return lines
 
 
+def declined_records(n):
+    # Records that keep a text from being plain when appended after ids
+    # 0..n-1, each for one reason; the line loop reads them all.
+    return (
+        f'{n} 1 0 {n} "a; b";',        # a quoted name holding ';' and spaces
+        f"{n} 1 0{n};",                # the owner glued to the successors
+        f"{n} 1 0;{n};",               # a mid-line ';'
+        f"{n} 1 0 0,;{n};",            # a ';' inside the successor list
+        f'{n} 1 0 "x";',               # a name in the successors' place
+        f"{n} 1 0 {n}],[{n};",         # brackets that JSON would read
+        f"{n} 1 0 0{n};",              # a successor with a leading zero
+        f"{n} 1 0 {n} {n};",           # two successors with no comma
+        f"{n}.0 1 0 {n};",             # an id that JSON reads as a number
+        f"{n} -1 0 {n};",              # a negative priority
+        "".join(chr(0x660 + int(c)) for c in str(n)) + " 1 0 0;",  # Arabic-Indic id
+        f"{n} 1 0 {n},\u3000{n};",     # an ideographic space in the list
+        f"{n + 1} 1 0 0;",             # a gap in the ids
+        f"{n} 1 0 {n + 1};",           # a successor id equal to the count
+    )
+
+
 def mutate(rng, lines):
-    # A blank line, or one of the slips each parse error names.
+    # A blank line, one of the slips each parse error names, a record the
+    # bulk path must decline or two records swapped.
     i = rng.randrange(len(lines) + 1)
-    kind = rng.randrange(7)
+    kind = rng.randrange(9)
     if kind == 0:
         lines.insert(i, rng.choice(("", " ", "\t")))
     elif kind == 1 and i < len(lines):
@@ -519,11 +546,24 @@ def mutate(rng, lines):
         lines.insert(max(i, 1), f"{rng.randint(0, 12)} 0 1 {rng.randint(0, 12)};")
     elif kind == 6:
         lines.insert(max(i, 1), "007 3 0 7;")
+    elif kind == 7:
+        lines.append(rng.choice(declined_records(len(lines) - 1)))
+    elif kind == 8 and len(lines) > 2:
+        lines[1], lines[-1] = lines[-1], lines[1]   # ids out of order
 
 
-def test_text_parser_matches_line_by_line_oracle():
+def test_text_parser_matches_line_by_line_oracle(monkeypatch):
     # Both parsers give equal games or the same first error, on random
-    # texts, on texts with slips in them and on blank texts.
+    # texts, on texts with slips in them and on blank texts.  Plain texts
+    # among them take the bulk path.
+    bulk = []
+
+    def counted(lines):
+        g = plain_game(lines)
+        bulk.append(g is not None)
+        return g
+
+    monkeypatch.setattr(games, "_plain_game", counted)
     rng = random.Random(418)
     errors, parsed = set(), 0
     for trial in range(3000):
@@ -544,7 +584,46 @@ def test_text_parser_matches_line_by_line_oracle():
         got = game_from_text(text)
         assert got == want and got.index == want.index, (trial, text)
         parsed += 1
-    assert errors == set(PARSE_ERRORS) and parsed > 1000
+    assert errors == set(PARSE_ERRORS) and parsed > 1000 and bulk.count(True) > 100
+
+
+def test_bulk_path_declines_what_only_the_line_loop_reads():
+    base = ["parity 2;", "0 1 0 1;", "1 2 1 0, 1 ;"]
+    assert plain_game(base) is not None
+    for record in declined_records(2) + ("0 1 0 1;",):
+        try:
+            g = plain_game(base + [record])
+        except ValueError:
+            g = None
+        assert g is None, record
+    assert plain_game([base[0], base[2], base[1]]) is None
+    # A line without its ';' and another with two.
+    assert plain_game(["parity 2", "0 1 0 1;;", base[2]]) is None
+
+
+def test_text_parser_keeps_the_error_of_a_huge_priority():
+    # A priority past int()'s digit limit next to a missing successor: the
+    # missing successor is named, as the line loop always did.
+    with pytest.raises(GameError) as info:
+        game_from_text(f"parity 1;\n0 {'9' * 5000} 0 5;\n")
+    assert str(info.value) == "inconsistent game: position 0: successor 5 is not a position"
+
+
+def test_text_of_int_games_takes_the_bulk_path(monkeypatch):
+    # game_to_text writes every nonempty game on the positions 0..n-1 as a
+    # plain text.
+    rng = random.Random(419)
+    texts = [game_to_text(random_game(rng, 30, 9, 3)) for _ in range(200)]
+    texts.append(game_to_text(game({0: EVE, 1: ADAM}, {0: 3, 1: 0}, {0: (), 1: ()})))
+    wants = [games._game_from_lines(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError("the line loop ran on a plain text")
+
+    monkeypatch.setattr(games, "_game_from_lines", refuse)
+    for text, want in zip(texts, wants):
+        got = game_from_text(text)
+        assert got == want and got.index == want.index, text
 
 
 def test_dot_export_mentions_positions_and_regions():
