@@ -17,12 +17,9 @@ from .trees import (
     TreeError,
     bisimilar,
     constant_tree,
-    dump_tree,
     graft_spine,
     load_tree,
-    random_regular_tree,
     rename_tree,
-    reroot,
     tree_distance,
     tree_from_json,
     tree_to_json,
@@ -56,7 +53,6 @@ from .automata import (
     automaton_from_json,
     automaton_to_json,
     builtin,
-    dump_automaton,
     emptiness_game,
     index_of,
     intersection_product,
@@ -81,7 +77,6 @@ from .gamelang import (
     code_to_json,
     eval_borel,
     game_of_tree,
-    in_rightmost_separator,
     in_w01,
     in_w01_prime,
     parity_lang_member,

@@ -26,11 +26,10 @@ from .trees import (
     LetterRenaming,
     TreeError,
     doc_field,
-    doc_text,
     read_doc,
     same_symbols,
 )
-from .games import EVE, ADAM, ParityGame, Strategy, explore, solve, verify_strategy
+from .games import EVE, ADAM, ParityGame, Strategy, _named, _solve, explore, verify_strategy
 
 
 class AutomatonError(ValueError):
@@ -175,16 +174,17 @@ class RunWitness:
 
 
 def member(a: NPTA, t: RegularTree) -> bool:
-    return member_witness(a, t) is not None
+    win, _ = _solve(membership_game(a, t))
+    return 0 in win[EVE]
 
 
 def member_witness(a: NPTA, t: RegularTree) -> RunWitness | None:
     game = membership_game(a, t)
-    res = solve(game)
-    start = membership_start(a, t)
-    if start not in res.eve_region:
+    win, strat = _solve(game)
+    if 0 not in win[EVE]:
         return None
-    return RunWitness(game, res.eve_strategy, res.eve_region, start)
+    res = _named(game, win, strat)
+    return RunWitness(game, res.eve_strategy, res.eve_region, game.positions[0])
 
 
 def emptiness_game(a: NPTA) -> ParityGame:
@@ -217,10 +217,11 @@ def strategy_tree(a: NPTA, choice: dict) -> RegularTree:
 def witness(a: NPTA) -> RegularTree | None:
     """Some accepted tree, or None when the language is empty."""
     game = emptiness_game(a)
-    res = solve(game)
-    if game.positions[0] not in res.eve_region:
+    win, strat = _solve(game)
+    if 0 not in win[EVE]:
         return None
-    return strategy_tree(a, res.eve_strategy.choice)
+    names = game.positions
+    return strategy_tree(a, {names[i]: names[j] for i, j in strat[EVE].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +421,8 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
 
 
 def member_alt(a: APTA, t: RegularTree) -> bool:
-    game = acceptance_game(a, t)
-    return game.positions[0] in solve(game).eve_region
+    win, _ = _solve(acceptance_game(a, t))
+    return 0 in win[EVE]
 
 
 def npta_to_apta(a: NPTA) -> APTA:
@@ -653,12 +654,6 @@ def apta_from_json(doc: dict) -> APTA:
         formula = doc_field(entry, "formula", dict, "delta entry", AutomatonError)
         delta[key] = formula_from_json(formula)
     return APTA(alphabet, states, initial, delta, ranks)
-
-
-def dump_automaton(a, path) -> None:
-    doc = apta_to_json(a) if isinstance(a, APTA) else automaton_to_json(a)
-    with open(path, "w") as handle:
-        handle.write(doc_text(doc))
 
 
 def load_automaton(path):

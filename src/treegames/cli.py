@@ -36,6 +36,8 @@ from .games import (
     ADAM,
     EVE,
     GameError,
+    _named,
+    _solve,
     game_from_text,
     game_to_dot,
     solve,
@@ -103,19 +105,22 @@ def _load_any_automaton(ref: str):
 
 def cmd_solve(args) -> int:
     g = game_from_text(read_text(args.game, GameError, "game text"))
-    res = solve(g)
-    eve, adam = res.eve_strategy.choice, res.adam_strategy.choice
+    win, strat = _solve(g)
+    # A parsed text's positions are ints in ascending id order, so sorting
+    # ids sorts names.
+    names = g.positions
+    eve, adam = strat
     doc = {
-        "eve_region": sorted(res.eve_region),
-        "adam_region": sorted(res.adam_region),
-        "eve_strategy": [[v, eve[v]] for v in sorted(eve)],
-        "adam_strategy": [[v, adam[v]] for v in sorted(adam)],
+        "eve_region": [names[i] for i in sorted(win[EVE])],
+        "adam_region": [names[i] for i in sorted(win[ADAM])],
+        "eve_strategy": [[names[i], names[eve[i]]] for i in sorted(eve)],
+        "adam_strategy": [[names[i], names[adam[i]]] for i in sorted(adam)],
     }
     # Opened before anything is printed, as _emit does with -o.
     with open(args.dot, "w") if args.dot else nullcontext() as dot:
         _emit(doc, args.output)
         if dot:
-            dot.write(game_to_dot(g, res))
+            dot.write(game_to_dot(g, _named(g, win, strat)))
     return 0
 
 

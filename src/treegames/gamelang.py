@@ -31,8 +31,8 @@ from .trees import (
     rename_tree,
     same_symbols,
 )
-from .games import EVE, ADAM, ParityGame, solve
-from .automata import BINARY, GAME_ALPHABET, DUALITY, builtin, member
+from .games import EVE, ADAM, ParityGame, _solve
+from .automata import GAME_ALPHABET, DUALITY
 
 
 class GameLabel(NamedTuple):
@@ -81,7 +81,7 @@ def _generator_game(t: RegularTree, owners, prios) -> ParityGame:
 
 def in_w01(t: RegularTree) -> bool:
     """Whether Eve wins the induced game from the root."""
-    return t.root in solve(game_of_tree(t)).eve_region
+    return 0 in _solve(game_of_tree(t))[0][EVE]
 
 
 def in_w01_prime(t: RegularTree) -> bool:
@@ -90,7 +90,7 @@ def in_w01_prime(t: RegularTree) -> bool:
     bit seen infinitely often is 1.  The dual renaming flips each label's
     owner and bit, so its game is the induced game with both arrays
     flipped."""
-    return t.root in solve(_dual_game(game_of_tree(t))).eve_region
+    return 0 in _solve(_dual_game(game_of_tree(t)))[0][EVE]
 
 
 def _dual_game(g: ParityGame) -> ParityGame:
@@ -101,7 +101,7 @@ def _dual_game(g: ParityGame) -> ParityGame:
 def _w01_verdicts(t: RegularTree) -> tuple[bool, bool]:
     """(in_w01(t), in_w01_prime(t)) from one build of the induced game."""
     g = game_of_tree(t)
-    return t.root in solve(g).eve_region, t.root in solve(_dual_game(g)).eve_region
+    return 0 in _solve(g)[0][EVE], 0 in _solve(_dual_game(g))[0][EVE]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def read_depth(code: BorelCode) -> int:
 
 # ---------------------------------------------------------------------------
 # Membership in the plain parity languages, decided on the generator
-# directly, and in the rightmost-branch separator, decided by K-det.
+# directly.
 
 def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
     """Whether every branch of a tree labeled by i..k has even limsup.  All
@@ -236,14 +236,7 @@ def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
         # The first such node in breadth-first order, as a walk would meet it.
         bad = list(t.label.values())[prios.index(None)]
         raise TreeError(f"label {bad!r} outside {sorted(priority)}")
-    return t.root in solve(_generator_game(t, [ADAM] * len(prios), prios)).eve_region
-
-
-def in_rightmost_separator(t: RegularTree) -> bool:
-    """Whether the rightmost branch carries finitely many 1s."""
-    if not same_symbols(t.alphabet, BINARY):
-        raise TreeError("tree is not over the 0/1 alphabet")
-    return member(builtin("K-det"), t)
+    return 0 in _solve(_generator_game(t, [ADAM] * len(prios), prios))[0][EVE]
 
 
 # ---------------------------------------------------------------------------

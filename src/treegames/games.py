@@ -23,6 +23,13 @@ and memory linear in its size.  Dead ends are handled by routing them to
 internal sink loops of the losing parity, which keeps the algorithm on
 dead-end-free games.
 
+The solver answers on ids: the private _solve() gives each player's
+winning region as a set of ids and strategy as an id-to-id map, and
+solve() puts names on that.  Position 0 is the start of an explore() game
+and the root of a generator game, so the library's yes/no decisions read
+`0 in win[EVE]` and name nothing; names are made only for callers that
+read them.
+
 Games also travel in a line-per-position text format:
 
     parity 3;
@@ -293,7 +300,7 @@ def _zielonka(m, owner, prio, succ, pred):
                 p, won, region = sigma, region, set()
                 for v in tops:
                     if owner[v] == sigma:
-                        moves[v] = next(u for u in succ[v] if u in won)
+                        moves[v] = next(filter(won.__contains__, succ[v]))
             if strat[p]:
                 strat[p].update(sub_strat[p])
             else:
@@ -306,8 +313,11 @@ def _zielonka(m, owner, prio, succ, pred):
             return win, strat
 
 
-def solve(g: ParityGame) -> SolveResult:
-    """Winning regions and positional winning strategies for both players."""
+def _solve(g: ParityGame):
+    """solve() on ids: (win, strat), where win[player] is the player's
+    winning region as a set of ids and strat[player] the player's strategy
+    as an id-to-id dict.  Position 0, the start of an explore() game and
+    the root of a generator game, is Eve's exactly when 0 in win[EVE]."""
     n = len(g.positions)
     owner, prio, succ = g.owners, g.prios, g.succs
 
@@ -328,20 +338,31 @@ def solve(g: ParityGame) -> SolveResult:
 
     win, strat = _zielonka(m, owner, prio, succ, pred)
     assert win[EVE].isdisjoint(win[ADAM]) and len(win[EVE]) + len(win[ADAM]) == m
+    # The sinks leave the regions.  No strategy needs trimming: a player
+    # chooses only at positions the player owns and wins, and a sink or a
+    # dead end routed into one is won by its owner's opponent.
+    win[EVE].difference_update((n, n + 1))
+    win[ADAM].difference_update((n, n + 1))
+    return win, strat
 
-    # Sinks and the moves of dead ends into them are dropped; every other
-    # chosen move is a real edge.
+
+def _named(g: ParityGame, win, strat) -> SolveResult:
+    # _solve's result on g, by position name.
     names = g.positions
 
     def back(player):
-        region = frozenset([names[i] for i in win[player] if i < n])
-        choice = {names[i]: names[j] for i, j in strat[player].items()
-                  if i < n and g.succs[i]}
+        region = frozenset([names[i] for i in win[player]])
+        choice = {names[i]: names[j] for i, j in strat[player].items()}
         return region, Strategy(player, choice)
 
     eve_region, eve_strategy = back(EVE)
     adam_region, adam_strategy = back(ADAM)
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
+
+
+def solve(g: ParityGame) -> SolveResult:
+    """Winning regions and positional winning strategies for both players."""
+    return _named(g, *_solve(g))
 
 
 # ---------------------------------------------------------------------------

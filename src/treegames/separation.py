@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .trees import RegularTree, bisimilar, tree_to_json
-from .games import EVE, Strategy, solve, verify_strategy
+from .games import EVE, Strategy, _solve, verify_strategy
 from .automata import (
     APTA,
     BINARY,
@@ -166,13 +166,13 @@ def sample_language(a: NPTA, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise ValueError("sample count must be positive")
     game = emptiness_game(a)
-    res = solve(game)
+    win, _ = _solve(game)
 
     # Draws and walks run on ids; the start is id 0.  Eve's region holds
     # her chosen moves and all of Adam's, so every Eve position the walk
     # meets has a choice.  A strategy is named only when it is verified.
     names, succs = game.positions, game.succs
-    won = [pos in res.eve_region for pos in names]
+    won = list(map(win[EVE].__contains__, range(len(names))))
     if not won[0]:
         raise EmptyLanguage("language is empty")
     options = {i: [j for j in succs[i] if won[j]]

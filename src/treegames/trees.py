@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,11 +147,6 @@ def label_at(t: RegularTree, word: str) -> str:
     return t.label[t.walk(word)]
 
 
-def reroot(t: RegularTree, word: str) -> RegularTree:
-    """Subtree at the given node word, presented by the same generator."""
-    return RegularTree(t.alphabet, t.walk(word), t.label, t.left, t.right)
-
-
 def constant_tree(alphabet: Alphabet, symbol: str) -> RegularTree:
     if symbol not in alphabet:
         raise TreeError(f"symbol {symbol!r} is not in the alphabet")
@@ -258,18 +252,6 @@ def graft_spine(subtrees_head, subtrees_tail, spine_label: str) -> RegularTree:
         right[s] = ("s", n + 1) if n < k else s
         left[s] = head_roots[n] if n < k else tail_root
     return RegularTree(alphabet, ("s", 0), label, left, right)
-
-
-def random_regular_tree(alphabet: Alphabet, max_nodes: int, seed: int) -> RegularTree:
-    """Random generator with at most max_nodes nodes, deterministic in seed."""
-    if max_nodes < 1:
-        raise TreeError("max_nodes must be at least 1")
-    rng = random.Random(seed)
-    n = rng.randint(1, max_nodes)
-    label = {i: rng.choice(alphabet.symbols) for i in range(n)}
-    left = {i: rng.randrange(n) for i in range(n)}
-    right = {i: rng.randrange(n) for i in range(n)}
-    return RegularTree(alphabet, 0, label, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +407,6 @@ def _checked_entries(entries):
         left[v] = doc_field(entry, "left", (str, int), "tree node", TreeError)
         right[v] = doc_field(entry, "right", (str, int), "tree node", TreeError)
     return label, left, right
-
-
-def dump_tree(t: RegularTree, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(doc_text(tree_to_json(t)))
 
 
 def load_tree(path) -> RegularTree:

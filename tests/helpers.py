@@ -18,6 +18,7 @@ from treegames.trees import (
     TreeError,
     bisimilar,
     doc_field,
+    doc_text,
     label_at,
 )
 from treegames.games import (
@@ -48,6 +49,24 @@ def random_game(rng: random.Random, max_positions: int, max_priority: int,
         degree = rng.randint(0, max_degree)
         succ[i] = tuple(sorted(rng.sample(range(n), min(degree, n))))
     return ParityGame(tuple(range(n)), owner, prio, succ)
+
+
+def random_regular_tree(alphabet: Alphabet, max_nodes: int, seed: int) -> RegularTree:
+    """Random generator with at most max_nodes nodes, deterministic in seed."""
+    if max_nodes < 1:
+        raise TreeError("max_nodes must be at least 1")
+    rng = random.Random(seed)
+    n = rng.randint(1, max_nodes)
+    label = {i: rng.choice(alphabet.symbols) for i in range(n)}
+    left = {i: rng.randrange(n) for i in range(n)}
+    right = {i: rng.randrange(n) for i in range(n)}
+    return RegularTree(alphabet, 0, label, left, right)
+
+
+def write_doc(path, doc) -> None:
+    """Write a document file in the text every command writes."""
+    with open(path, "w") as handle:
+        handle.write(doc_text(doc))
 
 
 def random_npta(rng: random.Random, alphabet: Alphabet, max_states: int,

@@ -12,11 +12,10 @@ import time
 from treegames.trees import (
     bisimilar,
     constant_tree,
-    dump_tree,
     load_tree,
-    random_regular_tree,
     rename_tree,
     tree_from_json,
+    tree_to_json,
 )
 from treegames.games import (
     ParityGame,
@@ -32,8 +31,8 @@ from treegames.automata import (
     Index,
     NPTA,
     automaton_from_json,
+    automaton_to_json,
     builtin,
-    dump_automaton,
     index_of,
     member,
     member_alt,
@@ -50,7 +49,7 @@ from treegames.separation import (
 )
 from treegames.cli import main as cli_main
 
-from helpers import brute_force_solve, random_code, random_game
+from helpers import brute_force_solve, random_code, random_game, random_regular_tree, write_doc
 
 
 def test_criterion_1_solver_matches_brute_force():
@@ -243,7 +242,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     for i in range(10):
         t = random_regular_tree(GAME_ALPHABET, 6, rng.randrange(10 ** 6))
         path = tmp_path / f"t{i}.json"
-        dump_tree(t, path)
+        write_doc(path, tree_to_json(t))
         once, twice = tmp_path / "once.json", tmp_path / "twice.json"
         assert run("dual", "--tree", str(path), "-o", str(once))[0] == 0
         assert run("dual", "--tree", str(once), "-o", str(twice))[0] == 0
@@ -270,7 +269,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     code_path = tmp_path / "code.json"
     code_path.write_text(json.dumps({"kind": "cyl", "assign": {}}))
     tree_path = tmp_path / "u.json"
-    dump_tree(constant_tree(GAME_ALPHABET, "(A,1)"), tree_path)
+    write_doc(tree_path, tree_to_json(constant_tree(GAME_ALPHABET, "(A,1)")))
     out_path = tmp_path / "image.json"
     code, out, _ = run("reduce", "--code", str(code_path),
                        "--tree", str(tree_path), "-o", str(out_path))
@@ -279,9 +278,9 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
 
     # Exit codes: 0 positive, 1 negative, 2 input error, 3 precondition.
     one_path = tmp_path / "one.json"
-    dump_tree(constant_tree(BINARY, "1"), one_path)
+    write_doc(one_path, tree_to_json(constant_tree(BINARY, "1")))
     zero_path = tmp_path / "zero.json"
-    dump_tree(constant_tree(BINARY, "0"), zero_path)
+    write_doc(zero_path, tree_to_json(constant_tree(BINARY, "0")))
     assert run("member", "--automaton", "L", "--tree", str(one_path))[0] == 0
     assert run("member", "--automaton", "L", "--tree", str(zero_path))[0] == 1
     bad_game = tmp_path / "bad.txt"
@@ -294,6 +293,6 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     witness_doc = json.loads(out)["witness"]
     assert member(builtin("L"), tree_from_json(witness_doc))
     dead = tmp_path / "dead.json"
-    dump_automaton(NPTA(BINARY, ("q",), "q", (), {"q": 0}), dead)
+    write_doc(dead, automaton_to_json(NPTA(BINARY, ("q",), "q", (), {"q": 0})))
     assert run("sample", "--automaton", str(dead))[0] == 3
     print("criterion 8: PASS (round-trips, exit codes, goldens)")

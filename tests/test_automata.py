@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from treegames.trees import RegularTree, constant_tree, random_regular_tree
+from treegames.trees import RegularTree, constant_tree
 from treegames.automata import (
     APTA,
     And,
@@ -29,7 +29,6 @@ from treegames.automata import (
     automaton_from_json,
     automaton_to_json,
     builtin,
-    dump_automaton,
     emptiness_game,
     formula_from_json,
     formula_to_json,
@@ -49,7 +48,7 @@ from treegames.automata import (
     witness,
 )
 
-from helpers import brute_force_solve, det_member_oracle, random_npta
+from helpers import brute_force_solve, det_member_oracle, random_npta, random_regular_tree, write_doc
 
 
 def all_zero():
@@ -499,9 +498,9 @@ def test_automaton_schema_errors(tmp_path):
 
 def test_dump_load_dispatch(tmp_path):
     npta_path = tmp_path / "a.json"
-    dump_automaton(builtin("L"), npta_path)
+    write_doc(npta_path, automaton_to_json(builtin("L")))
     assert load_automaton(npta_path) == builtin("L")
     apta_path = tmp_path / "b.json"
     alt = npta_to_apta(builtin("M01"))
-    dump_automaton(alt, apta_path)
+    write_doc(apta_path, apta_to_json(alt))
     assert load_automaton(apta_path) == alt

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, dump_tree, load_tree, tree_from_json
+from treegames.trees import bisimilar, constant_tree, load_tree, tree_from_json, tree_to_json
 from treegames.games import game_from_text, game_to_text, solve
 from treegames.automata import (
     BINARY,
@@ -18,14 +18,16 @@ from treegames.automata import (
     NPTA,
     apta_to_json,
     automaton_from_json,
+    automaton_to_json,
     builtin,
-    dump_automaton,
     member,
     membership_game,
     npta_to_apta,
 )
 from treegames.gamelang import ALL_EXISTS_ZERO, ALL_FORALL_ONE
 from treegames.cli import main
+
+from helpers import write_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -38,14 +40,14 @@ def run(capsys, *argv):
 
 def write_tree(tmp_path, name, t):
     path = tmp_path / name
-    dump_tree(t, path)
+    write_doc(path, tree_to_json(t))
     return str(path)
 
 
 def singleton_file(tmp_path, symbol):
     a = NPTA(BINARY, ("s",), "s", (("s", symbol, "s", "s"),), {"s": 2})
     path = tmp_path / f"single{symbol}.json"
-    dump_automaton(a, path)
+    write_doc(path, automaton_to_json(a))
     return str(path)
 
 
@@ -116,7 +118,7 @@ def test_member_exit_codes(tmp_path, capsys):
 
 def test_member_requires_a_nondeterministic_automaton(tmp_path, capsys):
     path = tmp_path / "alt.json"
-    dump_automaton(npta_to_apta(builtin("M01")), path)
+    write_doc(path, apta_to_json(npta_to_apta(builtin("M01"))))
     zero = write_tree(tmp_path, "zero.json", constant_tree(BINARY, "0"))
     code, _, err = run(capsys, "member", "--automaton", str(path), "--tree", zero)
     assert code == 2 and "alternating" in err
@@ -124,7 +126,7 @@ def test_member_requires_a_nondeterministic_automaton(tmp_path, capsys):
 
 def test_member_alt_accepts_both_kinds(tmp_path, capsys):
     path = tmp_path / "alt.json"
-    dump_automaton(npta_to_apta(builtin("M01")), path)
+    write_doc(path, apta_to_json(npta_to_apta(builtin("M01"))))
     zero = write_tree(tmp_path, "zero.json", constant_tree(BINARY, "0"))
     for ref in (str(path), "M01"):
         code, out, _ = run(capsys, "member-alt", "--automaton", ref, "--tree", zero)
@@ -151,7 +153,7 @@ def test_empty_emits_witness_or_flag(tmp_path, capsys):
     assert member(builtin("UBbin"), t)
 
     dead = tmp_path / "dead.json"
-    dump_automaton(NPTA(BINARY, ("q",), "q", (), {"q": 0}), dead)
+    write_doc(dead, automaton_to_json(NPTA(BINARY, ("q",), "q", (), {"q": 0})))
     code, out, _ = run(capsys, "empty", "--automaton", str(dead))
     assert code == 1
     assert json.loads(out) == {"empty": True, "witness": None}
@@ -286,7 +288,7 @@ def test_sample_echoes_seed_and_exhaustion(capsys):
 
 def test_sample_empty_language_is_a_precondition_failure(tmp_path, capsys):
     dead = tmp_path / "dead.json"
-    dump_automaton(NPTA(BINARY, ("q",), "q", (), {"q": 2}), dead)
+    write_doc(dead, automaton_to_json(NPTA(BINARY, ("q",), "q", (), {"q": 2})))
     one = singleton_file(tmp_path, "1")
     for argv in (("sample", "--automaton", str(dead)),
                  ("separate", str(dead), one, "--samples", "5"),
@@ -343,8 +345,8 @@ def test_separate_and_empty_golden_files(tmp_path, capsys):
 
     pair = next(p for p in example_pairs() if p.name == "leftmost0-vs-leftmost1")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    dump_automaton(pair.a, a)
-    dump_automaton(pair.b, b)
+    write_doc(a, automaton_to_json(pair.a))
+    write_doc(b, automaton_to_json(pair.b))
     cases = [
         ("separate_leftmost0-vs-leftmost1_level2.json",
          ["separate", str(a), str(b), "--level", "2", "--samples", "5"]),
@@ -529,8 +531,8 @@ def test_separate_output_does_not_depend_on_the_hash_seed(tmp_path):
 
     pair = next(p for p in example_pairs() if p.name == "leftmost0-vs-leftmost1")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    dump_automaton(pair.a, a)
-    dump_automaton(pair.b, b)
+    write_doc(a, automaton_to_json(pair.a))
+    write_doc(b, automaton_to_json(pair.b))
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     outs = []
     for hash_seed in ("0", "1"):

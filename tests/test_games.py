@@ -28,7 +28,7 @@ from treegames.games import (
     verify_strategy,
 )
 from treegames.games import _plain_game as plain_game
-from treegames.trees import RegularTree, constant_tree, random_regular_tree
+from treegames.trees import RegularTree, constant_tree
 from treegames.automata import (
     BINARY,
     GAME_ALPHABET,
@@ -46,6 +46,7 @@ from helpers import (
     odd_dominated_cycle,
     random_game,
     random_npta,
+    random_regular_tree,
     reference_solve,
     successor_names,
 )

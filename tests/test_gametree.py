@@ -12,11 +12,10 @@ from treegames.trees import (
     constant_tree,
     graft_spine,
     label_at,
-    random_regular_tree,
     rename_tree,
 )
 from treegames import gamelang
-from treegames.games import ADAM, EVE, solve
+from treegames.games import ADAM, EVE, _solve
 from treegames.automata import BINARY, DUALITY, GAME_ALPHABET, builtin, member
 from treegames.gamelang import (
     ALL_EXISTS_ZERO,
@@ -29,7 +28,6 @@ from treegames.gamelang import (
     code_to_json,
     eval_borel,
     game_of_tree,
-    in_rightmost_separator,
     in_w01,
     in_w01_prime,
     parity_lang_member,
@@ -41,6 +39,7 @@ from helpers import (
     game_of_tree_by_explore,
     parity_lang_member_by_explore,
     random_code,
+    random_regular_tree,
     unfold_with_tail,
 )
 
@@ -107,9 +106,9 @@ def test_w01_prime_solves_the_game_of_the_dual_tree(monkeypatch):
 
     def recording_solve(g):
         solved.append(g)
-        return solve(g)
+        return _solve(g)
 
-    monkeypatch.setattr(gamelang, "solve", recording_solve)
+    monkeypatch.setattr(gamelang, "_solve", recording_solve)
     rng = random.Random(426)
     for trial, u in enumerate(random_game_trees(rng, 60)):
         verdict = in_w01_prime(u)
@@ -278,7 +277,7 @@ def test_code_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Plain parity languages and the rightmost-branch separator.
+# Plain parity languages.
 
 def test_parity_lang_frozen_cases():
     zero = constant_tree(BINARY, "0")
@@ -324,13 +323,3 @@ def test_parity_lang_matches_the_explore_oracle():
                     {0: 1, 1: 3, 2: 2, 3: 3}, {0: 2, 1: 1, 2: 2, 3: 3})
     for decide in (parity_lang_member, parity_lang_member_by_explore):
         assert parity_outcome(decide, t, 0, 1) == "label '3' outside ['0', '1']"
-
-
-def test_rightmost_separator_against_buchi_twin():
-    rng = random.Random(428)
-    kb = builtin("K-buchi")
-    for _ in range(100):
-        t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
-        assert in_rightmost_separator(t) == member(kb, t), t
-    with pytest.raises(TreeError, match="0/1 alphabet"):
-        in_rightmost_separator(ALL_EXISTS_ZERO)

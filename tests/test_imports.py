@@ -1,6 +1,8 @@
 """Every name imported by a package module or a test module is used,
-every module-level name of the package is exported or used, and every
-method or property of a package class is used outside the tests."""
+every module-level name of the package is exported or used, every public
+function of the package other than a documented few is used outside the
+tests, and every method or property of a package class is used outside
+the tests."""
 
 import ast
 import re
@@ -106,10 +108,7 @@ def dead_members() -> list:
     dead member whose name is used for anything else, such as an attribute
     of another class."""
     modules = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
-    readers = dict(modules)
-    readers.update({f"bench/{p.name}": ast.parse(p.read_text(), str(p))
-                    for p in sorted((ROOT / "bench").glob("*.py"))})
-    references = _references(readers)
+    references = _references_with_bench(modules)
     dead = []
     for module, tree in modules.items():
         for cls in ast.walk(tree):
@@ -125,3 +124,48 @@ def dead_members() -> list:
 
 def test_no_dead_members():
     assert dead_members() == []
+
+
+def _references_with_bench(modules: dict) -> list:
+    """_references of the parsed modules and of every bench/*.py file."""
+    readers = dict(modules)
+    readers.update({f"bench/{p.name}": ast.parse(p.read_text(), str(p))
+                    for p in sorted((ROOT / "bench").glob("*.py"))})
+    return _references(readers)
+
+
+# Public functions that the README documents and that only tests call in
+# this repository: the W01-prime and plain parity language tests, the
+# Borel code depth, and the writers paired with the game and code loaders.
+DOCUMENTED = {"in_w01_prime", "parity_lang_member", "read_depth", "game_to_text", "code_to_json"}
+
+
+def test_documented_functions_are_exported_functions():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = {node.name for p in PACKAGE.glob("*.py")
+                 for node in ast.parse(p.read_text(), str(p)).body
+                 if isinstance(node, ast.FunctionDef)}
+    assert DOCUMENTED <= exported & functions
+
+
+def functions_only_tests_read() -> list:
+    """(module, function) of each public module-level function of the
+    package that no package module and no bench/*.py file references
+    outside its own definition: one that only tests read, its export in
+    __init__.py aside.  DOCUMENTED functions and console-script entry
+    points are kept."""
+    modules = {p.name: ast.parse(p.read_text(), str(p))
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    references = _references_with_bench(modules)
+    kept = DOCUMENTED | set(re.findall(r'"treegames\.\w+:(\w+)"',
+                                       (ROOT / "pyproject.toml").read_text()))
+    return [(module, node.name) for module, tree in modules.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in kept
+            and not _referenced(node.name, module, node.lineno, node.end_lineno, references)]
+
+
+def test_no_functions_only_tests_read():
+    assert functions_only_tests_read() == []

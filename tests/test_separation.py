@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, random_regular_tree, tree_to_json
+from treegames.trees import bisimilar, constant_tree, tree_to_json
 from treegames.automata import (
     BINARY,
     BUILTIN_NAMES,
@@ -30,7 +30,7 @@ from treegames.separation import (
     verify_separation,
 )
 
-from helpers import random_npta, reference_sample
+from helpers import random_npta, random_regular_tree, reference_sample
 
 
 def singleton(symbol):

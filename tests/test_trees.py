@@ -19,19 +19,22 @@ from treegames.trees import (
     bisimilar,
     constant_tree,
     doc_text,
-    dump_tree,
     graft_spine,
     label_at,
     load_tree,
-    random_regular_tree,
     rename_tree,
-    reroot,
     tree_distance,
     tree_from_json,
     tree_to_json,
 )
 
-from helpers import regular_tree_by_checks, tree_from_json_by_entries, unfold_with_tail
+from helpers import (
+    random_regular_tree,
+    regular_tree_by_checks,
+    tree_from_json_by_entries,
+    unfold_with_tail,
+    write_doc,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -75,14 +78,11 @@ def test_generator_validation():
         RegularTree(AB, 5, {0: "a"}, {0: 0}, {0: 0})  # root not a node
 
 
-def test_step_walk_reroot():
+def test_step_and_walk():
     t = RegularTree(AB, 0, {0: "a", 1: "b"}, {0: 1, 1: 1}, {0: 0, 1: 0})
     assert t.step(0, "1") == 1
     assert t.walk("12") == 0
     assert label_at(t, "11") == "b"
-    s = reroot(t, "1")
-    assert label_at(s, "") == "b"
-    assert label_at(s, "2") == "a"
     with pytest.raises(TreeError):
         t.walk("10")
 
@@ -368,7 +368,7 @@ def test_bulk_tree_check_matches_the_node_by_node_oracle():
 def test_dump_load_files(tmp_path):
     t = random_regular_tree(AB, 5, 7)
     path = tmp_path / "t.json"
-    dump_tree(t, path)
+    write_doc(path, tree_to_json(t))
     assert bisimilar(load_tree(path), t)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
