@@ -70,7 +70,6 @@ from .automata import (
 from .gamelang import (
     BorelCode,
     Cyl,
-    GameLabel,
     Neg,
     Union,
     code_from_json,

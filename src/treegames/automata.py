@@ -82,10 +82,11 @@ class NPTA:
     def __post_init__(self):
         states = _check_header(self)
         normalized = sorted({tuple(t) for t in self.transitions})
+        letters = set(self.alphabet.symbols)
         for q, a, l, r in normalized:
             if q not in states or l not in states or r not in states:
                 raise AutomatonError(f"transition {(q, a, l, r)!r} uses an unknown state")
-            if a not in self.alphabet:
+            if a not in letters:
                 raise AutomatonError(f"transition {(q, a, l, r)!r} uses an unknown letter")
         object.__setattr__(self, "transitions", tuple(normalized))
 

@@ -40,7 +40,6 @@ from .games import (
     _solve,
     game_from_text,
     game_to_dot,
-    solve,
 )
 from .automata import (
     BUILTIN_NAMES,
@@ -222,11 +221,9 @@ def cmd_distance(args) -> int:
 def cmd_play(args) -> int:
     t = load_tree(args.tree)
     g = game_of_tree(t)
-    res = solve(g)
     human = EVE if args.side == "eve" else ADAM
-    engine = 1 - human
-    engine_choice = (res.eve_strategy if engine == EVE else res.adam_strategy).choice
-    names, index = g.positions, g.index
+    choice = _solve(g)[1][1 - human]
+    names = g.positions
 
     # The play runs on position ids; names are read to talk to the human.
     current = 0
@@ -255,7 +252,7 @@ def cmd_play(args) -> int:
                 else:
                     print("enter 1 or 2")
         else:
-            move = index[engine_choice[v]] if v in engine_choice else succ[0]
+            move = choice.get(current, succ[0])
             direction = "1" if move == succ[0] else "2"
             print(f"at {v} [{label}] engine moves {direction}")
         current = move

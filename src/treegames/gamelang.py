@@ -18,7 +18,6 @@ at the finitely many node words the cylinders mention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .trees import (
     RegularTree,
@@ -35,23 +34,9 @@ from .games import EVE, ADAM, ParityGame, _solve
 from .automata import GAME_ALPHABET, DUALITY
 
 
-class GameLabel(NamedTuple):
-    """Owner ('E' or 'A') and priority bit of a game tree letter."""
-
-    owner: str
-    bit: int
-
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "GameLabel":
-        if symbol not in GAME_ALPHABET:
-            raise TreeError(f"not a game label: {symbol!r}")
-        return cls(symbol[1], int(symbol[3]))
-
-
-_GAME_LABELS = {symbol: GameLabel.from_symbol(symbol) for symbol in GAME_ALPHABET}
 # Owner and priority of the induced game's position at a node, by label.
-_OWNERS = {symbol: EVE if lab.owner == "E" else ADAM for symbol, lab in _GAME_LABELS.items()}
-_BITS = {symbol: lab.bit for symbol, lab in _GAME_LABELS.items()}
+_OWNERS = {symbol: EVE if symbol[1] == "E" else ADAM for symbol in GAME_ALPHABET}
+_BITS = {symbol: int(symbol[3]) for symbol in GAME_ALPHABET}
 ALL_EXISTS_ZERO = constant_tree(GAME_ALPHABET, "(E,0)")
 ALL_FORALL_ONE = constant_tree(GAME_ALPHABET, "(A,1)")
 
@@ -64,15 +49,22 @@ def _require_game_alphabet(t: RegularTree):
 def game_of_tree(t: RegularTree) -> ParityGame:
     """The induced parity game on the tree's generator nodes."""
     _require_game_alphabet(t)
+    return _generator_game(t, _OWNERS, _BITS)
+
+
+def _generator_game(t: RegularTree, owner: dict, priority: dict) -> ParityGame:
+    # The game on the generator whose node owners and priorities are read
+    # off the tables by label; a label outside them names the first such
+    # node in breadth-first order.  The generator keeps its nodes in
+    # breadth-first order from the root, the order explore() would find
+    # them in, so node i is position i and the successors are read straight
+    # off the child maps.
     labels = t.label.values()
-    return _generator_game(t, map(_OWNERS.__getitem__, labels), map(_BITS.__getitem__, labels))
-
-
-def _generator_game(t: RegularTree, owners, prios) -> ParityGame:
-    # The game on the generator with the given owner and priority arrays.
-    # The generator keeps its nodes in breadth-first order from the root,
-    # the order explore() would find them in, so node i is position i and
-    # the successors are read straight off the child maps.
+    try:
+        owners = tuple(map(owner.__getitem__, labels))
+        prios = tuple(map(priority.__getitem__, labels))
+    except KeyError as exc:
+        raise TreeError(f"label {exc.args[0]!r} outside {sorted(priority)}") from None
     nodes = t.nodes
     index = dict(zip(nodes, range(len(nodes))))
     succs = zip(map(index.__getitem__, t.left.values()), map(index.__getitem__, t.right.values()))
@@ -230,13 +222,8 @@ def parity_lang_member(t: RegularTree, i: int, k: int) -> bool:
     when every reachable cycle of the generator has an even maximum."""
     if i not in (0, 1) or k < i:
         raise TreeError("labels must run from i in {0,1} to k >= i")
-    priority = {str(m): m for m in range(i, k + 1)}
-    prios = list(map(priority.get, t.label.values()))
-    if None in prios:
-        # The first such node in breadth-first order, as a walk would meet it.
-        bad = list(t.label.values())[prios.index(None)]
-        raise TreeError(f"label {bad!r} outside {sorted(priority)}")
-    return 0 in _solve(_generator_game(t, [ADAM] * len(prios), prios))[0][EVE]
+    prios = {str(m): m for m in range(i, k + 1)}
+    return 0 in _solve(_generator_game(t, dict.fromkeys(prios, ADAM), prios))[0][EVE]
 
 
 # ---------------------------------------------------------------------------

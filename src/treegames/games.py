@@ -41,8 +41,9 @@ Header, then one record per position: id, priority, owner (0 = Eve,
 1 = Adam), comma-separated successors (empty for a dead end) and an
 optional quoted name.  Every record ends with a semicolon.  Plain texts,
 with ids 0..n-1 in file order and no names, as game_to_text writes games
-on the positions 0..n-1, are checked and converted in bulk; a line loop
-parses the rest and names the first error.
+on the positions 0..n-1, are checked and converted in bulk.  A line loop
+reads every other text one record at a time and raises the first error
+in line order.
 """
 
 from __future__ import annotations
@@ -569,61 +570,40 @@ def _plain_game(lines):
 
 
 def _game_from_lines(text):
-    # The line loop only matches lines; numbers are converted after it, in
-    # bulk.
-    header, error = False, None
-    fields = []
+    # Each record is matched, converted and checked for a duplicate as it
+    # is read.  Priorities are converted last, so one past int()'s digit
+    # limit cannot hide a missing successor.
+    records = {}
+    header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line[-1] != ";":
-            error = f"line {lineno}: record does not end with ';'"
-            break
+            raise GameError(f"line {lineno}: record does not end with ';'")
         if not header:
             if _HEADER.fullmatch(line, 0, len(line) - 1) is None:
-                error = f"line {lineno}: expected header 'parity N;'"
-                break
+                raise GameError(f"line {lineno}: expected header 'parity N;'")
             header = True
             continue
         m = _RECORD.fullmatch(line, 0, len(line) - 1)
         if m is None:
-            error = f"line {lineno}: malformed position record"
-            break
-        fields += m.groups()
-    if not header and error is None:
-        error = "line 1: expected header 'parity N;'"
-    names = list(map(int, fields[0::4]))
-    row = dict(zip(names, range(len(names))))
-    if len(row) < len(names):
-        # A duplicate comes before the error that broke the loop, if any.
-        # Record k is the nonblank line after the header and k records.
-        seen = set()
-        for k, v in enumerate(names):
-            if v in seen:
-                lineno = [i for i, raw in enumerate(text.splitlines(), 1) if raw.strip()][k + 1]
-                raise GameError(f"line {lineno}: duplicate position {v}")
-            seen.add(v)
-    if error is not None:
-        raise GameError(error)
-    positions = sorted(row)
-    order = [row[v] for v in positions]
+            raise GameError(f"line {lineno}: malformed position record")
+        v, p, o, moves = m.groups()
+        v = int(v)
+        if v in records:
+            raise GameError(f"line {lineno}: duplicate position {v}")
+        records[v] = (_OWNERS[o], p, tuple(map(int, moves.split(","))) if moves else ())
+    if not header:
+        raise GameError("line 1: expected header 'parity N;'")
+    positions = sorted(records)
     index = dict(zip(positions, range(len(positions))))
-    prios, owners, moves = fields[1::4], fields[2::4], fields[3::4]
-    moves = [moves[k] for k in order]
+    owners, prios, moves = zip(*map(records.__getitem__, positions)) if records else ((), (), ())
     try:
-        succs = [tuple(map(index.__getitem__, map(int, s.split(",")))) if s else ()
-                 for s in moves]
-    except KeyError as exc:
-        # Raised at the first bad successor in position order, so the first
-        # position moving to it is the one to name.
-        w = exc.args[0]
-        v = next(v for v, s in zip(positions, moves) if s and w in map(int, s.split(",")))
-        raise GameError(f"inconsistent game: position {v!r}: "
-                        f"successor {w!r} is not a position") from None
-    owners = [int(owners[k]) for k in order]
-    prios = [int(prios[k]) for k in order]
-    return ParityGame._of(positions, index, owners, prios, succs)
+        succs = [_ids(v, s, index) for v, s in zip(positions, moves)]
+    except GameError as exc:
+        raise GameError(f"inconsistent game: {exc}") from None
+    return ParityGame._of(positions, index, owners, map(int, prios), succs)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

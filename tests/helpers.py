@@ -35,7 +35,7 @@ from treegames.games import (
     verify_strategy,
 )
 from treegames.automata import NPTA, emptiness_game, strategy_tree, transition_table
-from treegames.gamelang import Cyl, GameLabel, Neg, Union
+from treegames.gamelang import Cyl, Neg, Union
 from treegames.automata import GAME_ALPHABET
 
 
@@ -424,10 +424,11 @@ def tree_from_json_by_entries(doc) -> RegularTree:
 
 def game_of_tree_by_explore(t: RegularTree) -> ParityGame:
     """Oracle for gamelang.game_of_tree: the induced game found by explore()
-    from the root, each node expanded from its label and children."""
+    from the root, each node expanded from its label and children, the
+    owner and bit read off the label's text '(owner,bit)'."""
     def expand(v):
-        lab = GameLabel.from_symbol(t.label[v])
-        return (EVE if lab.owner == "E" else ADAM), lab.bit, (t.left[v], t.right[v])
+        owner, bit = t.label[v].strip("()").split(",")
+        return (EVE if owner == "E" else ADAM), int(bit), (t.left[v], t.right[v])
 
     return explore(t.root, expand)
 

@@ -3,14 +3,16 @@
 Each run takes valid inputs (a builtin NPTA, an APTA, random trees, a
 Borel code, a game text and a disjoint Büchi pair), changes one of them by one to three
 structural mutations and runs every command that reads it through
-cli.main in process.  Whatever the input, no exception may escape main
-and the exit code must be one of the documented 0..3."""
+cli.main in process.  Whatever the input, no exception may escape main,
+the exit code must be one of the documented 0..3 and no run may take
+longer than RUN_SECONDS."""
 
 import contextlib
 import copy
 import io
 import json
 import random
+import time
 
 from treegames.automata import (
     BINARY,
@@ -33,6 +35,10 @@ from helpers import random_code, random_game, random_regular_tree
 # edges of the int range the readers take, and names the documents use.
 ODD_VALUES = [None, True, False, 0, -1, 1.5, 10 ** 30, "", "0", "1", "q", "(E,0)",
               "s@0", [], {}, [[[]]], {"op": "atom"}, {"kind": "neg"}]
+
+# Bound on one run's wall-clock time; runs take a few milliseconds, so a
+# run past it has hit a blow-up rather than a slow machine.
+RUN_SECONDS = 5
 
 # Commands and their inputs by role: "npta", "apta", "tree" (binary),
 # "gtree" (game alphabet), "code", "game", and "a" and "b" (a disjoint
@@ -167,8 +173,11 @@ def test_mutated_documents_never_crash_the_cli(tmp_path):
             if role not in argv:
                 continue
             argv = [paths.get(arg, arg) for arg in argv]
+            start = time.perf_counter()
             code = run(argv)
+            seconds = time.perf_counter() - start
             assert code in (0, 1, 2, 3), (trial, argv, docs[role])
+            assert seconds <= RUN_SECONDS, (trial, argv, seconds)
             codes.add(code)
     # The mutations reach both the decisions and the input checks.
     assert {0, 1, 2} <= codes

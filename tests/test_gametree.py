@@ -21,7 +21,6 @@ from treegames.gamelang import (
     ALL_EXISTS_ZERO,
     ALL_FORALL_ONE,
     Cyl,
-    GameLabel,
     Neg,
     Union,
     code_from_json,
@@ -50,12 +49,6 @@ def neither_tree():
     return RegularTree(GAME_ALPHABET, "e",
                        {"e": "(E,1)", "a": "(A,0)"},
                        {"e": "a", "a": "e"}, {"e": "a", "a": "e"})
-
-
-def test_game_label_parsing():
-    assert GameLabel.from_symbol("(E,0)") == GameLabel("E", 0)
-    with pytest.raises(TreeError):
-        GameLabel.from_symbol("(X,0)")
 
 
 def test_game_of_tree_structure():
