@@ -40,10 +40,10 @@ Games also travel in a line-per-position text format:
 Header, then one record per position: id, priority, owner (0 = Eve,
 1 = Adam), comma-separated successors (empty for a dead end) and an
 optional quoted name.  Every record ends with a semicolon.  Plain texts,
-with ids 0..n-1 in file order and no names, as game_to_text writes games
-on the positions 0..n-1, are checked and converted in bulk.  A line loop
-reads every other text one record at a time and raises the first error
-in line order.
+as game_to_text writes games on the positions 0..n-1, are read in bulk:
+one findall of a line pattern, a subset of the record grammar with no
+names, and JSON converts their numbers.  A line loop reads every other
+text one record at a time and raises the first error in line order.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
+from itertools import chain
 from types import MappingProxyType
 
 EVE = 0
@@ -507,14 +507,13 @@ def game_to_text(g: ParityGame) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Both patterns match a line up to its final ';', so their trailing \s* plays
-# the part of stripping the space before it.
-_HEADER = re.compile(r"parity\s+\d+\s*")
+_HEADER = re.compile(r"parity\s+\d+\s*;")
 _RECORD = re.compile(
-    r'(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"[^"]*")?\s*')
-# On these characters JSON accepts only successor lists that _RECORD accepts,
-# and reads the same numbers off them.
-_PLAIN_MOVES = re.compile(r"[0-9, \t]*")
+    r'(\d+)\s+(\d+)\s+([01])\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*(?:"[^"]*")?\s*;')
+# A subset of _RECORD with no names, matched on the whole lines of joined
+# stripped lines; JSON reads the same successors off its list, or raises.
+_PLAIN_RECORD = re.compile(
+    r"^([0-9]+)[^\S\n]+([0-9]+)[^\S\n]+([01])(?:[^\S\n]+([0-9, \t]*))?[^\S\n]*;$", re.M)
 _OWNERS = {"0": EVE, "1": ADAM}
 
 
@@ -523,56 +522,43 @@ def game_from_text(text: str) -> ParityGame:
     the first error in line order is the one raised.
 
     Plain texts, as game_to_text writes games on the positions 0..n-1,
-    are checked and converted in bulk; the line loop parses the rest and
-    names the first error."""
+    are read in bulk by one pattern matched with one findall; the line
+    loop parses the rest and names the first error."""
     try:
         g = _plain_game(list(filter(None, map(str.strip, text.splitlines()))))
     except ValueError:
-        # What the bulk path raises on (a record of fewer than three fields,
-        # a number JSON rejects or one past int()'s digit limit) is left to
-        # the line loop, which decides what error, if any, comes first.
+        # What the bulk path raises on (an empty game, or a number or list
+        # JSON rejects) is left to the line loop, which decides what
+        # error, if any, comes first.
         g = None
     return _game_from_lines(text) if g is None else g
 
 
 def _plain_game(lines):
     # The game of a text's stripped nonblank lines, or None when they are
-    # not plain: each ends in its only ';', the header is 'parity' and a
-    # number, ids run 0..n-1 in file order, no record holds a name, and
-    # every successor list is a JSON list of ids.  Such lines parse one by
-    # one, without error, to the same game.
+    # not plain: ids 0..n-1 in file order, successors below n.  Such lines
+    # parse one by one, without error, to the same game.
     n = len(lines) - 1
-    body = "\n".join(lines)
-    if body.count(";") != n + 1 or (body + "\n").count(";\n") != n + 1:
+    records = _PLAIN_RECORD.findall("\n".join(lines[1:]))
+    if len(records) != n or _HEADER.fullmatch(lines[0]) is None:
         return None
-    head, *records = body.replace(";", "").split("\n")
-    head = head.split()
-    if len(head) != 2 or head[0] != "parity" or not head[1].isdecimal():
-        return None
-    # One column per field; a dead end's record has no successor field.
-    columns = list(zip_longest(*map(str.split, records, repeat(None), repeat(3)),
-                               fillvalue=""))
-    if len(columns) == 3:
-        columns.append(("",) * n)
-    ids, prios, owners, moves = columns
-    if not "".join(ids + prios).isdecimal() or _PLAIN_MOVES.fullmatch("".join(moves)) is None:
-        return None
+    ids, prios, owners, moves = zip(*records)
     numbers = json.loads("[" + ",".join(ids + prios) + "]")
-    owners = list(map(_OWNERS.get, owners))
-    if numbers[:n] != list(range(n)) or None in owners:
+    if numbers[:n] != list(range(n)):
         return None
     succs = json.loads("[[" + "],[".join(moves) + "]]")
     if max(chain.from_iterable(succs), default=-1) >= n:
         return None
     positions = tuple(range(n))
-    return ParityGame._of(positions, dict(zip(positions, positions)), owners, numbers[n:],
-                          map(tuple, succs))
+    return ParityGame._of(positions, dict(zip(positions, positions)), map(_OWNERS.get, owners),
+                          numbers[n:], map(tuple, succs))
 
 
 def _game_from_lines(text):
-    # Each record is matched, converted and checked for a duplicate as it
-    # is read.  Priorities are converted last, so one past int()'s digit
-    # limit cannot hide a missing successor.
+    # Each record is matched, its id and successors converted and its id
+    # checked for a duplicate as it is read.  Priorities are converted
+    # last, so one past int()'s digit limit cannot hide a missing
+    # successor; each keeps its line number for that error.
     records = {}
     header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -582,18 +568,22 @@ def _game_from_lines(text):
         if line[-1] != ";":
             raise GameError(f"line {lineno}: record does not end with ';'")
         if not header:
-            if _HEADER.fullmatch(line, 0, len(line) - 1) is None:
+            if _HEADER.fullmatch(line) is None:
                 raise GameError(f"line {lineno}: expected header 'parity N;'")
             header = True
             continue
-        m = _RECORD.fullmatch(line, 0, len(line) - 1)
+        m = _RECORD.fullmatch(line)
         if m is None:
             raise GameError(f"line {lineno}: malformed position record")
         v, p, o, moves = m.groups()
-        v = int(v)
+        try:
+            v = int(v)
+            moves = tuple(map(int, moves.split(","))) if moves else ()
+        except ValueError as exc:
+            raise GameError(f"line {lineno}: {exc}") from None
         if v in records:
             raise GameError(f"line {lineno}: duplicate position {v}")
-        records[v] = (_OWNERS[o], p, tuple(map(int, moves.split(","))) if moves else ())
+        records[v] = (_OWNERS[o], (lineno, p), moves)
     if not header:
         raise GameError("line 1: expected header 'parity N;'")
     positions = sorted(records)
@@ -603,7 +593,15 @@ def _game_from_lines(text):
         succs = [_ids(v, s, index) for v, s in zip(positions, moves)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, index, owners, map(int, prios), succs)
+    return ParityGame._of(positions, index, owners, map(_priority, prios), succs)
+
+
+def _priority(record):
+    # A record's (line number, priority digits) as an int.
+    try:
+        return int(record[1])
+    except ValueError as exc:
+        raise GameError(f"line {record[0]}: {exc}") from None
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

@@ -301,7 +301,8 @@ def read_doc(path, error):
     text = read_text(path, error, "JSON")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number past int()'s digit limit.
         raise error(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 
 from treegames.trees import (
     Alphabet,
@@ -49,6 +50,13 @@ def random_game(rng: random.Random, max_positions: int, max_priority: int,
         degree = rng.randint(0, max_degree)
         succ[i] = tuple(sorted(rng.sample(range(n), min(degree, n))))
     return ParityGame(tuple(range(n)), owner, prio, succ)
+
+
+def digits_past_int_limit() -> str | None:
+    """A numeral one digit longer than int() converts from a string, or None
+    where int() has no such limit (no sys.get_int_max_str_digits, or 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return "9" * (limit + 1) if limit else None
 
 
 def random_regular_tree(alphabet: Alphabet, max_nodes: int, seed: int) -> RegularTree:

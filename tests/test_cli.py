@@ -27,9 +27,10 @@ from treegames.automata import (
 from treegames.gamelang import ALL_EXISTS_ZERO, ALL_FORALL_ONE
 from treegames.cli import main
 
-from helpers import write_doc
+from helpers import digits_past_int_limit, write_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -80,6 +81,19 @@ def test_solve_reports_parse_error_line(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--game", str(game))
     assert code == 2
     assert "line 2" in err
+
+
+def test_solve_reads_the_readme_game_example(tmp_path, capsys):
+    # The documented format, with a named record and a dead end, still
+    # parses: Adam's dead end at 2 is lost by Adam, so Eve wins everywhere.
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"Games use a plain text format.*?```\n(.*?)```", fh.read(), re.S)
+    game = tmp_path / "readme.txt"
+    game.write_text(block.group(1))
+    code, out, err = run(capsys, "solve", "--game", str(game))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"eve_region": [0, 1, 2], "adam_region": [],
+                               "eve_strategy": [[0, 1]], "adam_strategy": []}
 
 
 def test_solve_round_trips_a_membership_game(tmp_path, capsys):
@@ -472,6 +486,21 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2 and expected in err, (argv, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_numbers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
+    # int()'s digit-limit error used to escape with no line or file named.
+    huge = digits_past_int_limit()
+    if huge is None:
+        pytest.skip("int() has no digit limit here")
+    game = tmp_path / "huge.txt"
+    game.write_text(f"parity 1;\n0 {huge} 0 0;\n")
+    tree = tmp_path / "huge.json"
+    tree.write_text(f'{{"alphabet": ["0"], "root": {huge}, "nodes": []}}')
+    for argv, expected in ((("solve", "--game", str(game)), "error: line 2: "),
+                           (("gtl", "--tree", str(tree)), f"error: {tree}: not valid JSON: ")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(expected), (argv, err)
 
 
 def test_unhashable_symbols_and_states_are_input_errors(tmp_path, capsys):

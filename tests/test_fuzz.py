@@ -4,14 +4,16 @@ Each run takes valid inputs (a builtin NPTA, an APTA, random trees, a
 Borel code, a game text and a disjoint Büchi pair), changes one of them by one to three
 structural mutations and runs every command that reads it through
 cli.main in process.  Whatever the input, no exception may escape main,
-the exit code must be one of the documented 0..3 and no run may take
-longer than RUN_SECONDS."""
+the exit code must be one of the documented 0..3, no run may take longer
+than RUN_SECONDS, and a game text that `solve` rejects is rejected with
+its line, the game or the file named."""
 
 import contextlib
 import copy
 import io
 import json
 import random
+import re
 import time
 
 from treegames.automata import (
@@ -29,12 +31,16 @@ from treegames.separation import build_hierarchy, example_pairs
 from treegames.trees import tree_to_json
 from treegames.cli import main
 
-from helpers import random_code, random_game, random_regular_tree
+from helpers import digits_past_int_limit, random_code, random_game, random_regular_tree
 
 # Values a mutation may put in place of another: every JSON type, the
 # edges of the int range the readers take, and names the documents use.
 ODD_VALUES = [None, True, False, 0, -1, 1.5, 10 ** 30, "", "0", "1", "q", "(E,0)",
               "s@0", [], {}, [[[]]], {"op": "atom"}, {"kind": "neg"}]
+
+# A token past int()'s digit limit where there is one, a long number where
+# there is none, so that the random stream is the same everywhere.
+HUGE = digits_past_int_limit() or "9" * 4301
 
 # Bound on one run's wall-clock time; runs take a few milliseconds, so a
 # run past it has hit a blow-up rather than a slow machine.
@@ -111,7 +117,8 @@ def mutate(rng, doc):
 
 def mutate_text(rng, text):
     """One structural change to a game text: a line dropped, repeated or
-    swapped, or a token dropped, repeated or replaced."""
+    swapped, or a token dropped, repeated or replaced, among others by a
+    number past int()'s digit limit."""
     lines = text.splitlines()
     kind = rng.randrange(4)
     i = rng.randrange(len(lines))
@@ -125,7 +132,8 @@ def mutate_text(rng, text):
     else:
         tokens = lines[i].split(" ")
         k = rng.randrange(len(tokens))
-        tokens[k] = rng.choice(["", "-1", "2", "99", "0,0", ";", '"x"', "1e3", tokens[k] * 2])
+        tokens[k] = rng.choice(["", "-1", "2", "99", "0,0", ";", '"x"', "1e3", tokens[k] * 2,
+                                HUGE])
         lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
 
@@ -148,8 +156,10 @@ def valid_inputs(rng):
 
 
 def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    # main's exit code and what it wrote to stderr.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 def test_mutated_documents_never_crash_the_cli(tmp_path):
@@ -174,10 +184,13 @@ def test_mutated_documents_never_crash_the_cli(tmp_path):
                 continue
             argv = [paths.get(arg, arg) for arg in argv]
             start = time.perf_counter()
-            code = run(argv)
+            code, err = run(argv)
             seconds = time.perf_counter() - start
             assert code in (0, 1, 2, 3), (trial, argv, docs[role])
             assert seconds <= RUN_SECONDS, (trial, argv, seconds)
+            if argv[0] == "solve" and code == 2:
+                assert (re.search(r"line \d+: |inconsistent game: ", err)
+                        or paths["game"] in err), (trial, err)
             codes.add(code)
     # The mutations reach both the decisions and the input checks.
     assert {0, 1, 2} <= codes

@@ -41,6 +41,7 @@ from treegames.gamelang import game_of_tree
 
 from helpers import (
     brute_force_solve,
+    digits_past_int_limit,
     game_from_text_by_lines,
     max_parity_cycle_by_levels,
     odd_dominated_cycle,
@@ -608,6 +609,17 @@ def test_text_parser_keeps_the_error_of_a_huge_priority():
     with pytest.raises(GameError) as info:
         game_from_text(f"parity 1;\n0 {'9' * 5000} 0 5;\n")
     assert str(info.value) == "inconsistent game: position 0: successor 5 is not a position"
+
+
+@pytest.mark.parametrize("record", ["{huge} 1 0 0;", "0 1 0 {huge};", "0 1 0 0,{huge} \"x\";",
+                                    "0 {huge} 0 0;"])
+def test_numbers_past_the_digit_limit_name_their_line(record):
+    # An id, a successor or a lone priority past int()'s digit limit.
+    huge = digits_past_int_limit()
+    if huge is None:
+        pytest.skip("int() has no digit limit here")
+    with pytest.raises(GameError, match=r"^line 2: .*digits"):
+        game_from_text("parity 1;\n" + record.format(huge=huge) + "\n")
 
 
 def test_text_of_int_games_takes_the_bulk_path(monkeypatch):
