@@ -12,11 +12,15 @@ prints one JSON document to stdout, and exits with:
 `-o FILE` additionally writes the command's artifact to FILE.  `play` is
 the one interactive command: a human plays one side of the tree game
 against the solver's strategy until the play closes a cycle.
+
+A command runs with the cyclic garbage collector paused, because the
+library makes no reference cycles; tests/test_fuzz.py checks that.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import nullcontext
@@ -373,6 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Every object a command makes is freed by reference counting, so a
+    # collection during it would only scan them; the caller's setting is
+    # restored however the command ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except NotDisjoint as exc:
@@ -384,6 +393,9 @@ def main(argv=None) -> int:
         # over-deep documents; sampling an empty language is a precondition failure
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EmptyLanguage) else 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -537,7 +538,11 @@ def game_from_text(text: str) -> ParityGame:
 def _plain_game(lines):
     # The game of a text's stripped nonblank lines, or None when they are
     # not plain: ids 0..n-1 in file order, successors below n.  Such lines
-    # parse one by one, without error, to the same game.
+    # parse one by one, without error, to the same game.  A text with
+    # names is declined at its first record, before findall tries each of
+    # its lines.
+    if len(lines) < 2 or _PLAIN_RECORD.match(lines[1]) is None:
+        return None
     n = len(lines) - 1
     records = _PLAIN_RECORD.findall("\n".join(lines[1:]))
     if len(records) != n or _HEADER.fullmatch(lines[0]) is None:
@@ -579,8 +584,8 @@ def _game_from_lines(text):
         try:
             v = int(v)
             moves = tuple(map(int, moves.split(","))) if moves else ()
-        except ValueError as exc:
-            raise GameError(f"line {lineno}: {exc}") from None
+        except ValueError:
+            raise _too_many_digits(lineno) from None
         if v in records:
             raise GameError(f"line {lineno}: duplicate position {v}")
         records[v] = (_OWNERS[o], (lineno, p), moves)
@@ -600,8 +605,15 @@ def _priority(record):
     # A record's (line number, priority digits) as an int.
     try:
         return int(record[1])
-    except ValueError as exc:
-        raise GameError(f"line {record[0]}: {exc}") from None
+    except ValueError:
+        raise _too_many_digits(record[0]) from None
+
+
+def _too_many_digits(lineno):
+    # int() rejects the digits _RECORD matches only past its digit limit;
+    # its own message advises a call that a text's reader cannot make.
+    return GameError(f"line {lineno}: number has more than "
+                     f"{sys.get_int_max_str_digits()} digits")
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

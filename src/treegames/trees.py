@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -301,9 +302,13 @@ def read_doc(path, error):
     text = read_text(path, error, "JSON")
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or a number past int()'s digit limit.
+    except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from None
+    except ValueError:
+        # A number past int()'s digit limit; int()'s own message advises a
+        # call that a document's reader cannot make.
+        raise error(f"{path}: not valid JSON: number has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def doc_text(doc) -> str:

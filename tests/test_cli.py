@@ -1,5 +1,6 @@
 """Command-line interface: document round-trips, exit codes, play mode."""
 
+import gc
 import importlib
 import io
 import json
@@ -25,6 +26,7 @@ from treegames.automata import (
     npta_to_apta,
 )
 from treegames.gamelang import ALL_EXISTS_ZERO, ALL_FORALL_ONE
+from treegames import cli
 from treegames.cli import main
 
 from helpers import digits_past_int_limit, write_doc
@@ -501,6 +503,9 @@ def test_numbers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
                            (("gtl", "--tree", str(tree)), f"error: {tree}: not valid JSON: ")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith(expected), (argv, err)
+        # The library's own words, not int()'s advice to raise the limit.
+        assert err == f"{expected}number has more than {len(huge) - 1} digits\n", (argv, err)
+        assert "set_int_max_str_digits" not in err, (argv, err)
 
 
 def test_unhashable_symbols_and_states_are_input_errors(tmp_path, capsys):
@@ -539,6 +544,37 @@ def test_repeated_calls_do_not_leak_flags(tmp_path, capsys):
     dot.unlink()
     assert run(capsys, "solve", "--game", str(game)) == with_dot
     assert not dot.exists()
+
+
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch):
+    # A command runs with the cyclic collector paused.  However it ends (an
+    # answer, an input error, a precondition failure or an exception main
+    # does not catch), the collector is left on or off as the caller had it.
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    cases = ((("builtin", "L"), 0), (("gtl", "--tree", str(bad)), 2),
+             (("separate", "L", "L", "--samples", "5"), 3))
+    during = []
+
+    def interrupt(name):
+        during.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in cases:
+                assert run(capsys, *argv)[0] == code, argv
+                assert gc.isenabled() is enabled, (enabled, argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "builtin", interrupt)
+                with pytest.raises(KeyboardInterrupt):
+                    main(["builtin", "L"])
+            assert gc.isenabled() is enabled, (enabled, "interrupted")
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_unwritable_output_prints_nothing(tmp_path, capsys):

@@ -6,15 +6,20 @@ structural mutations and runs every command that reads it through
 cli.main in process.  Whatever the input, no exception may escape main,
 the exit code must be one of the documented 0..3, no run may take longer
 than RUN_SECONDS, and a game text that `solve` rejects is rejected with
-its line, the game or the file named."""
+its line, the game or the file named.  No run may leave a reference cycle
+behind: main pauses the cyclic collector, so garbage in cycles would only
+be found later, if at all."""
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import random
 import re
 import time
+
+import pytest
 
 from treegames.automata import (
     BINARY,
@@ -162,7 +167,20 @@ def run(argv):
         return main(argv), err.getvalue()
 
 
-def test_mutated_documents_never_crash_the_cli(tmp_path):
+@pytest.fixture
+def fresh_heap():
+    # The first call builds the argument parser, which leaves garbage in
+    # cycles once per process.  After it is collected, every object there
+    # is is left out of later collections, so each gc.collect() in the
+    # test scans only what the test made since.
+    run(["builtin", "L"])
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+def test_mutated_documents_never_crash_the_cli(tmp_path, fresh_heap):
     rng = random.Random(20261019)
     codes = set()
     for trial in range(300):
@@ -183,9 +201,16 @@ def test_mutated_documents_never_crash_the_cli(tmp_path):
             if role not in argv:
                 continue
             argv = [paths.get(arg, arg) for arg in argv]
-            start = time.perf_counter()
-            code, err = run(argv)
-            seconds = time.perf_counter() - start
+            # Paused for the whole run, so that no collection after main
+            # returns can take away what the command left.
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                code, err = run(argv)
+                seconds = time.perf_counter() - start
+            finally:
+                gc.enable()
+            assert gc.collect() == 0, (trial, argv)
             assert code in (0, 1, 2, 3), (trial, argv, docs[role])
             assert seconds <= RUN_SECONDS, (trial, argv, seconds)
             if argv[0] == "solve" and code == 2:
