@@ -45,6 +45,7 @@ from .automata import (
     BUILTIN_NAMES,
     DUALITY,
     GAME_ALPHABET,
+    GAME_LABELS,
     NPTA,
     UnsupportedProduct,
     acceptance_game,

@@ -12,6 +12,9 @@ shifted down by an even amount so the low end lands in {0, 1}.  Büchi means
 ranks within {1, 2}; co-Büchi ranks within {0, 1}.
 
 State names are strings throughout, so automata serialize directly.
+
+GAME_LABELS gives each game label's (owner, bit) pair; GAME_ALPHABET, the
+DUALITY that flips both, W01 and gamelang's tree games are read off it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .trees import (
     doc_field,
     read_doc,
     same_symbols,
+    _too_many_digits,
 )
 from .games import EVE, ADAM, ParityGame, Strategy, _named, _solve, explore, verify_strategy
 
@@ -461,14 +465,10 @@ def transition_formula(table: dict, q: str, letter: str, move) -> Formula:
 #   UBbin    exactly one branch carries infinitely many 1s (index (0,2))
 
 BINARY = Alphabet(("0", "1"))
-GAME_ALPHABET = Alphabet(("(E,0)", "(E,1)", "(A,0)", "(A,1)"))
-
-DUALITY = LetterRenaming({
-    "(E,0)": "(A,1)",
-    "(E,1)": "(A,0)",
-    "(A,0)": "(E,1)",
-    "(A,1)": "(E,0)",
-})
+GAME_LABELS = {"(E,0)": (EVE, 0), "(E,1)": (EVE, 1), "(A,0)": (ADAM, 0), "(A,1)": (ADAM, 1)}
+GAME_ALPHABET = Alphabet(tuple(GAME_LABELS))
+_GAME_LABEL_OF = dict(zip(GAME_LABELS.values(), GAME_LABELS))
+DUALITY = LetterRenaming({s: _GAME_LABEL_OF[1 - o, 1 - b] for s, (o, b) in GAME_LABELS.items()})
 
 BIT_SWAP = LetterRenaming({"0": "1", "1": "0"})
 
@@ -488,6 +488,8 @@ def _automaton_Mik(i: int, k: int) -> NPTA:
         raise AutomatonError("first rank must be 0 or 1")
     if k < i:
         raise AutomatonError("empty rank range")
+    if k > _MIK_MAX_RANK:
+        raise AutomatonError(f"Mik(i,k) takes k up to {_MIK_MAX_RANK}")
     symbols = tuple(str(m) for m in range(i, k + 1))
     alphabet = Alphabet(symbols)
     transitions = tuple((l, s, s, s) for l in symbols for s in symbols)
@@ -514,15 +516,13 @@ def _automaton_K_buchi() -> NPTA:
 
 
 def _automaton_W01() -> NPTA:
-    transitions = []
-    for l in ("0", "1"):
-        for m in ("0", "1"):
-            transitions.append((l, f"(A,{m})", m, m))
-            transitions.append((l, f"(E,{m})", m, "T"))
-            transitions.append((l, f"(E,{m})", "T", m))
-    for owner in ("E", "A"):
-        for m in ("0", "1"):
-            transitions.append(("T", f"({owner},{m})", "T", "T"))
+    # A state is the bit its node's parent carries (T: off the play); an
+    # Eve label continues the play on one child, an Adam label on both.
+    transitions = [("T", s, "T", "T") for s in GAME_LABELS]
+    for s, (owner, bit) in GAME_LABELS.items():
+        m = str(bit)
+        moves = ((m, m),) if owner == ADAM else ((m, "T"), ("T", m))
+        transitions += [(l, s, *move) for l in ("0", "1") for move in moves]
     return NPTA(GAME_ALPHABET, ("0", "1", "T"), "0", tuple(transitions),
                 {"0": 0, "1": 1, "T": 0})
 
@@ -541,6 +541,8 @@ def _automaton_UBbin() -> NPTA:
 
 
 _MIK = re.compile(r"Mik\((\d+),(\d+)\)")
+# Mik(i,k) has (k+1)^2 transitions, and k comes from the command line.
+_MIK_MAX_RANK = 100
 
 _BUILTINS = {
     "L": _automaton_L,
@@ -561,12 +563,16 @@ def is_builtin_name(name: str) -> bool:
 
 
 def builtin(name: str) -> NPTA:
-    """Builtin automaton by name; Mik takes its ranks as in 'Mik(1,3)'."""
+    """Builtin automaton by name; Mik takes its ranks as in 'Mik(1,3)', k <= 100."""
     if name in _BUILTINS:
         return _BUILTINS[name]()
     m = _MIK.fullmatch(name)
     if m:
-        return _automaton_Mik(int(m.group(1)), int(m.group(2)))
+        try:
+            i, k = map(int, m.groups())
+        except ValueError:
+            raise _too_many_digits("Mik(i,k)", AutomatonError) from None
+        return _automaton_Mik(i, k)
     raise AutomatonError(f"unknown builtin {name!r}")
 
 

@@ -31,12 +31,12 @@ from .trees import (
     same_symbols,
 )
 from .games import EVE, ADAM, ParityGame, _solve
-from .automata import GAME_ALPHABET, DUALITY
+from .automata import GAME_ALPHABET, GAME_LABELS, DUALITY
 
 
 # Owner and priority of the induced game's position at a node, by label.
-_OWNERS = {symbol: EVE if symbol[1] == "E" else ADAM for symbol in GAME_ALPHABET}
-_BITS = {symbol: int(symbol[3]) for symbol in GAME_ALPHABET}
+_OWNERS = {symbol: owner for symbol, (owner, _) in GAME_LABELS.items()}
+_BITS = {symbol: bit for symbol, (_, bit) in GAME_LABELS.items()}
 ALL_EXISTS_ZERO = constant_tree(GAME_ALPHABET, "(E,0)")
 ALL_FORALL_ONE = constant_tree(GAME_ALPHABET, "(A,1)")
 

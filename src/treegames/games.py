@@ -42,19 +42,20 @@ Header, then one record per position: id, priority, owner (0 = Eve,
 optional quoted name.  Every record ends with a semicolon.  Plain texts,
 as game_to_text writes games on the positions 0..n-1, are read in bulk:
 one findall of a line pattern, a subset of the record grammar with no
-names, and JSON converts their numbers.  A line loop reads every other
-text one record at a time and raises the first error in line order.
+names, and JSON converts their numbers.  A line loop converts each record
+of any other text as it reads it, and so raises the first error in line order.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
+
+from .trees import _too_many_digits
 
 EVE = 0
 ADAM = 1
@@ -560,10 +561,8 @@ def _plain_game(lines):
 
 
 def _game_from_lines(text):
-    # Each record is matched, its id and successors converted and its id
-    # checked for a duplicate as it is read.  Priorities are converted
-    # last, so one past int()'s digit limit cannot hide a missing
-    # successor; each keeps its line number for that error.
+    # Each record is matched, its numbers converted and its id checked for
+    # a duplicate as it is read.
     records = {}
     header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -582,13 +581,13 @@ def _game_from_lines(text):
             raise GameError(f"line {lineno}: malformed position record")
         v, p, o, moves = m.groups()
         try:
-            v = int(v)
+            v, p = int(v), int(p)
             moves = tuple(map(int, moves.split(","))) if moves else ()
         except ValueError:
-            raise _too_many_digits(lineno) from None
+            raise _too_many_digits(f"line {lineno}", GameError) from None
         if v in records:
             raise GameError(f"line {lineno}: duplicate position {v}")
-        records[v] = (_OWNERS[o], (lineno, p), moves)
+        records[v] = (_OWNERS[o], p, moves)
     if not header:
         raise GameError("line 1: expected header 'parity N;'")
     positions = sorted(records)
@@ -598,22 +597,7 @@ def _game_from_lines(text):
         succs = [_ids(v, s, index) for v, s in zip(positions, moves)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, index, owners, map(_priority, prios), succs)
-
-
-def _priority(record):
-    # A record's (line number, priority digits) as an int.
-    try:
-        return int(record[1])
-    except ValueError:
-        raise _too_many_digits(record[0]) from None
-
-
-def _too_many_digits(lineno):
-    # int() rejects the digits _RECORD matches only past its digit limit;
-    # its own message advises a call that a text's reader cannot make.
-    return GameError(f"line {lineno}: number has more than "
-                     f"{sys.get_int_max_str_digits()} digits")
+    return ParityGame._of(positions, index, owners, prios, succs)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

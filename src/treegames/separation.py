@@ -20,7 +20,7 @@ a-samples and rejects the b-samples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .trees import RegularTree, bisimilar, tree_to_json
@@ -325,14 +325,9 @@ def _leftmost_constant(symbol: str) -> NPTA:
 
 
 def _leftmost_finitely_many_ones() -> NPTA:
-    # The leftmost branch carries finitely many 1s: ride it in q, guess the
-    # last 1, then demand 0s forever in p.
-    transitions = [("q", "0", "q", "T"), ("q", "1", "q", "T"),
-                   ("q", "0", "p", "T"), ("q", "1", "p", "T"),
-                   ("p", "0", "p", "T"),
-                   ("T", "0", "T", "T"), ("T", "1", "T", "T")]
-    return NPTA(BINARY, ("q", "p", "T"), "q", tuple(transitions),
-                {"q": 1, "p": 2, "T": 2})
+    # K-buchi's mirror image: the leftmost branch carries finitely many 1s.
+    a = builtin("K-buchi")
+    return replace(a, transitions=tuple((q, s, r, l) for q, s, l, r in a.transitions))
 
 
 def example_pairs() -> tuple[ExamplePair, ...]:

@@ -305,10 +305,14 @@ def read_doc(path, error):
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from None
     except ValueError:
-        # A number past int()'s digit limit; int()'s own message advises a
-        # call that a document's reader cannot make.
-        raise error(f"{path}: not valid JSON: number has more than "
-                    f"{sys.get_int_max_str_digits()} digits") from None
+        # A number past int()'s digit limit.
+        raise _too_many_digits(f"{path}: not valid JSON", error) from None
+
+
+def _too_many_digits(where, error):
+    # The error for a numeral past int()'s digit limit, in the library's words:
+    # int()'s own message advises a call that the reader of a text cannot make.
+    return error(f"{where}: number has more than {sys.get_int_max_str_digits()} digits")
 
 
 def doc_text(doc) -> str:

@@ -331,6 +331,19 @@ def test_builtin_output_reparses(capsys):
     assert code == 2 and "wat" in err
 
 
+def test_mik_past_its_rank_cap_is_an_input_error(tmp_path, capsys):
+    # Mik(i,k) has (k+1)^2 transitions, so k from the command line is capped
+    # wherever a builtin name is taken.
+    code, out, _ = run(capsys, "builtin", "Mik(0,100)")
+    assert code == 0 and len(json.loads(out)["transitions"]) == 101 ** 2
+    tree = write_tree(tmp_path, "t.json", constant_tree(BINARY, "0"))
+    for argv in (("builtin", "Mik(0,101)"), ("member", "--automaton", "Mik(1,101)", "--tree", tree),
+                 ("member-alt", "--automaton", "Mik(0,999)", "--tree", tree),
+                 ("separate", "L", "Mik(0,101)")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: Mik(i,k) takes k up to 100\n"), argv
+
+
 def test_console_script_entry_point(monkeypatch, capsys):
     # The target that pyproject.toml names for the installed `treegames`
     # command, called as the script wrapper calls it.
@@ -500,7 +513,10 @@ def test_numbers_past_the_digit_limit_are_input_errors(tmp_path, capsys):
     tree = tmp_path / "huge.json"
     tree.write_text(f'{{"alphabet": ["0"], "root": {huge}, "nodes": []}}')
     for argv, expected in ((("solve", "--game", str(game)), "error: line 2: "),
-                           (("gtl", "--tree", str(tree)), f"error: {tree}: not valid JSON: ")):
+                           (("gtl", "--tree", str(tree)), f"error: {tree}: not valid JSON: "),
+                           (("builtin", f"Mik(0,{huge})"), "error: Mik(i,k): "),
+                           (("empty", "--automaton", f"Mik({huge},1)"), "error: Mik(i,k): "),
+                           (("separate", f"Mik(1,{huge})", "L"), "error: Mik(i,k): ")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith(expected), (argv, err)
         # The library's own words, not int()'s advice to raise the limit.

@@ -603,12 +603,17 @@ def test_bulk_path_declines_what_only_the_line_loop_reads():
     assert plain_game(["parity 2", "0 1 0 1;;", base[2]]) is None
 
 
-def test_text_parser_keeps_the_error_of_a_huge_priority():
-    # A priority past int()'s digit limit next to a missing successor: the
-    # missing successor is named, as the line loop always did.
-    with pytest.raises(GameError) as info:
-        game_from_text(f"parity 1;\n0 {'9' * 5000} 0 5;\n")
-    assert str(info.value) == "inconsistent game: position 0: successor 5 is not a position"
+def test_text_parser_names_a_huge_priority_in_line_order():
+    # A priority past int()'s digit limit is converted where it is read, so
+    # it is named before a missing successor and before a later duplicate.
+    huge = digits_past_int_limit()
+    if huge is None:
+        pytest.skip("int() has no digit limit here")
+    for text in (f"parity 1;\n0 {huge} 0 5;\n",
+                 f"parity 2;\n0 {huge} 0 1;\n1 1 0 0;\n0 1 0 1;\n"):
+        with pytest.raises(GameError) as info:
+            game_from_text(text)
+        assert str(info.value) == f"line 2: number has more than {len(huge) - 1} digits", text
 
 
 @pytest.mark.parametrize("record", ["{huge} 1 0 0;", "0 1 0 {huge};", "0 1 0 0,{huge} \"x\";",

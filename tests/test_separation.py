@@ -7,9 +7,11 @@ import pytest
 
 from treegames.trees import bisimilar, constant_tree, tree_to_json
 from treegames.automata import (
+    APTA,
     BINARY,
     BUILTIN_NAMES,
     NPTA,
+    TRUE,
     builtin,
     is_buchi,
     member,
@@ -195,6 +197,22 @@ def test_sampling_stops_once_every_strategy_is_tried(monkeypatch):
     assert draws == 400
 
 
+def test_sampling_count_and_budget_floor(monkeypatch):
+    # One tree is a valid request.
+    result = sample_language(builtin("L"), 1, 0)
+    assert len(result.trees) == 1 and result.complete
+    # Each of seven states has two transitions on 0, which give 128 full
+    # choice functions and the one tree all-0: a request for up to five
+    # trees draws the whole budget floor of 100.
+    ring = [f"q{i}" for i in range(7)]
+    transitions = [(q, "0", l, r) for q, nxt in zip(ring, ring[1:] + ring[:1])
+                   for l, r in ((q, nxt), (nxt, q))]
+    a = NPTA(BINARY, tuple(ring), "q0", tuple(transitions), dict.fromkeys(ring, 2))
+    for n in (2, 5):
+        result, draws, total = counted_sample(monkeypatch, a, n, 0)
+        assert len(result.trees) == 1 and total == 128 and draws == 100, n
+
+
 def test_sampling_reports_exhaustion():
     result = sample_language(builtin("M01"), 5, 3)
     assert len(result.trees) == 1, "all-0 is the only positional witness"
@@ -229,6 +247,20 @@ def test_verification_records_failures():
     assert sides == {"accept", "reject"}
     doc = report_to_json(report)
     assert doc["passed"] is False and len(doc["failures"]) == 2
+
+
+def test_verification_samples_b_with_the_next_seed():
+    # A separator that accepts everything fails on every b sample, so the
+    # failures show which trees the b side checked.
+    accept_all = APTA(BINARY, ("s",), "s", {("s", "0"): TRUE, ("s", "1"): TRUE}, {"s": 0})
+    b = builtin("L")
+    report = verify_separation(accept_all, singleton("0"), b, 3, 5)
+    assert {f.side for f in report.failures} == {"reject"}
+    checked = [tree_to_json(f.tree) for f in report.failures]
+    samples = {seed: [tree_to_json(t) for t in sample_language(b, 3, seed).trees]
+               for seed in (4, 5, 6, 7)}
+    assert checked == samples[6]
+    assert all(samples[seed] != checked for seed in (4, 5, 7))
 
 
 def test_example_pairs_are_disjoint_and_separable():
