@@ -9,9 +9,12 @@ prints one JSON document to stdout, and exits with:
     3   precondition failure (separator requested for overlapping languages,
         sampling an empty language)
 
-`-o FILE` additionally writes the command's artifact to FILE.  `play` is
-the one interactive command: a human plays one side of the tree game
-against the solver's strategy until the play closes a cycle.
+`-o FILE` additionally writes the command's artifact to FILE: the printed
+document, or `reduce`'s tree or `separate`'s separator alone.  A command
+returns its document and exit code (and that artifact), and `main` alone
+prints and writes them.  `play` is the one interactive command: a human
+plays one side of the tree game against the solver's strategy until the
+play closes a cycle, and it prints its own transcript.
 
 A command runs with the cyclic garbage collector paused, because the
 library makes no reference cycles; tests/test_fuzz.py checks that.
@@ -106,7 +109,7 @@ def _load_any_automaton(ref: str):
 # ---------------------------------------------------------------------------
 # Commands.
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     g = game_from_text(read_text(args.game, GameError, "game text"))
     win, strat = _solve(g)
     # A parsed text's positions are ints in ascending id order, so sorting
@@ -119,60 +122,54 @@ def cmd_solve(args) -> int:
         "eve_strategy": [[names[i], names[eve[i]]] for i in sorted(eve)],
         "adam_strategy": [[names[i], names[adam[i]]] for i in sorted(adam)],
     }
-    # Opened before anything is printed, as _emit does with -o.
-    with open(args.dot, "w") if args.dot else nullcontext() as dot:
-        _emit(doc, args.output)
-        if dot:
+    # Written before anything is printed, so an unwritable path prints nothing.
+    if args.dot:
+        with open(args.dot, "w") as dot:
             dot.write(game_to_dot(g, _named(g, win, strat)))
-    return 0
+    return doc, 0
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     a = _load_npta(args.automaton)
     t = load_tree(args.tree)
     verdict = member(a, t)
-    _emit({"member": verdict}, args.output)
-    return 0 if verdict else 1
+    return {"member": verdict}, 0 if verdict else 1
 
 
-def cmd_member_alt(args) -> int:
+def cmd_member_alt(args):
     a = _load_any_automaton(args.automaton)
     if isinstance(a, NPTA):
         a = npta_to_apta(a)
     t = load_tree(args.tree)
     verdict = member_alt(a, t)
-    _emit({"member": verdict}, args.output)
-    return 0 if verdict else 1
+    return {"member": verdict}, 0 if verdict else 1
 
 
-def cmd_empty(args) -> int:
+def cmd_empty(args):
     a = _load_npta(args.automaton)
     w = witness(a)
     doc = {"empty": w is None,
            "witness": None if w is None else tree_to_json(w)}
-    _emit(doc, args.output)
-    return 1 if w is None else 0
+    return doc, 1 if w is None else 0
 
 
-def cmd_gtl(args) -> int:
+def cmd_gtl(args):
     t = load_tree(args.tree)
     first, second = _w01_verdicts(t)
-    _emit({"in_W01": first, "in_W01_prime": second}, args.output)
-    return 0 if first or second else 1
+    return {"in_W01": first, "in_W01_prime": second}, 0 if first or second else 1
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     code = code_from_json(read_doc(args.code, TreeError))
     t = load_tree(args.tree)
     image = reduce_borel(code, t)
     landed = "W01" if in_w01(image) else "W01_prime"
     tree = tree_to_json(image)
     # The artifact is the tree document alone, for other commands to load.
-    _emit({"landed_in": landed, "tree": tree}, args.output, tree)
-    return 0
+    return {"landed_in": landed, "tree": tree}, 0, tree
 
 
-def cmd_separate(args) -> int:
+def cmd_separate(args):
     a = _load_npta(args.a)
     b = _load_npta(args.b)
     if args.samples < 1:
@@ -180,22 +177,21 @@ def cmd_separate(args) -> int:
     separator = synthesize_separator(a, b, level=args.level)
     report = verify_separation(separator, a, b, args.samples, args.seed)
     artifact = apta_to_json(separator)
-    _emit({"separator": artifact, "report": report_to_json(report)}, args.output, artifact)
-    return 0 if report.passed else 1
+    return ({"separator": artifact, "report": report_to_json(report)},
+            0 if report.passed else 1, artifact)
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args):
     if (args.tree is None) == (args.automaton is None):
         raise TreeError("dual needs exactly one of --tree or --automaton")
     if args.tree is not None:
         doc = tree_to_json(rename_tree(load_tree(args.tree), DUALITY))
     else:
         doc = automaton_to_json(rename_automaton(_load_npta(args.automaton), DUALITY))
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     a = _load_npta(args.automaton)
     result = sample_language(a, args.samples, args.seed)
     doc = {
@@ -204,22 +200,18 @@ def cmd_sample(args) -> int:
         "complete": result.complete,
         "trees": [tree_to_json(t) for t in result.trees],
     }
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def cmd_builtin(args) -> int:
-    a = builtin(args.name)
-    _emit(automaton_to_json(a), args.output)
-    return 0
+def cmd_builtin(args):
+    return automaton_to_json(builtin(args.name)), 0
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args):
     t1 = load_tree(args.t1)
     t2 = load_tree(args.t2)
     d = tree_distance(t1, t2)
-    _emit({"distance": str(d), "bisimilar": d == 0}, args.output)
-    return 0
+    return {"distance": str(d), "bisimilar": d == 0}, 0
 
 
 def cmd_play(args) -> int:
@@ -350,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("play", help="play the tree game against the solver")
     p.add_argument("--tree", required=True, metavar="FILE")
     p.add_argument("--as", dest="side", choices=("eve", "adam"), required=True)
-    p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("sample", help="sample distinct members of a language")
     automaton_flag(p)
@@ -383,8 +374,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        if args.command == "play":
+            return cmd_play(args)
+        doc, code, *artifact = args.func(args)
+        _emit(doc, args.output, *artifact)
+        return code
     except NotDisjoint as exc:
+        # Printed only: there is no separator for -o to hold.
         _emit({"error": "languages are not disjoint",
                "witness": tree_to_json(exc.tree)})
         return 3
@@ -403,4 +399,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    entry()

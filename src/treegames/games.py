@@ -341,11 +341,11 @@ def _solve(g: ParityGame):
 
     win, strat = _zielonka(m, owner, prio, succ, pred)
     assert win[EVE].isdisjoint(win[ADAM]) and len(win[EVE]) + len(win[ADAM]) == m
-    # The sinks leave the regions.  No strategy needs trimming: a player
-    # chooses only at positions the player owns and wins, and a sink or a
-    # dead end routed into one is won by its owner's opponent.
-    win[EVE].difference_update((n, n + 1))
-    win[ADAM].difference_update((n, n + 1))
+    # The sinks leave the regions: Eve wins sink n, Adam n + 1.  No strategy
+    # needs trimming: a player chooses only at positions the player owns and
+    # wins, and a sink or a dead end routed into one is won by its owner's opponent.
+    win[EVE].discard(n)
+    win[ADAM].discard(n + 1)
     return win, strat
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: document round-trips, exit codes, play mode."""
 
+import argparse
 import gc
 import importlib
 import io
@@ -11,7 +12,14 @@ import sys
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, load_tree, tree_from_json, tree_to_json
+from treegames.trees import (
+    bisimilar,
+    constant_tree,
+    doc_text,
+    load_tree,
+    tree_from_json,
+    tree_to_json,
+)
 from treegames.games import game_from_text, game_to_text, solve
 from treegames.automata import (
     BINARY,
@@ -33,12 +41,21 @@ from helpers import digits_past_int_limit, write_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, hash_seed="0"):
+    """`python -m treegames.cli argv` in a new process, on this source tree."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "treegames.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
 
 
 def write_tree(tmp_path, name, t):
@@ -593,16 +610,71 @@ def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch):
     assert during == [False, False]
 
 
-def test_unwritable_output_prints_nothing(tmp_path, capsys):
-    tree = write_tree(tmp_path, "t.json", ALL_EXISTS_ZERO)
+def document_commands(tmp_path) -> list:
+    """(argv, part) for one run of every command but play: each prints one
+    document, and -o writes the printed document's `part` there, or the
+    whole document when part is None."""
+    e0 = write_tree(tmp_path, "e0.json", ALL_EXISTS_ZERO)
+    a1 = write_tree(tmp_path, "a1.json", ALL_FORALL_ONE)
+    zero = write_tree(tmp_path, "zero.json", constant_tree(BINARY, "0"))
     game = tmp_path / "g.txt"
-    game.write_text("parity 0;\n0 0 0 0;\n")
+    game.write_text("parity 1;\n0 1 0 0,1;\n1 0 1 1;\n")
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"kind": "cyl", "assign": {}}))
+    return [
+        (("solve", "--game", str(game)), None),
+        (("member", "--automaton", "L", "--tree", zero), None),
+        (("member-alt", "--automaton", "M01", "--tree", zero), None),
+        (("empty", "--automaton", "UBbin"), None),
+        (("gtl", "--tree", e0), None),
+        (("reduce", "--code", str(code), "--tree", a1), "tree"),
+        (("separate", singleton_file(tmp_path, "0"), singleton_file(tmp_path, "1"),
+          "--samples", "5"), "separator"),
+        (("dual", "--tree", e0), None),
+        (("sample", "--automaton", "L", "--samples", "3"), None),
+        (("builtin", "M01"), None),
+        (("distance", e0, a1), None),
+    ]
+
+
+def test_document_commands_are_every_command_but_play(tmp_path):
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv, _ in document_commands(tmp_path)) == sorted(
+        set(commands) - {"play"})
+
+
+def test_output_file_holds_the_printed_document(tmp_path, capsys):
+    # -o changes nothing that is printed, and writes the printed bytes:
+    # reduce writes its tree alone and separate its separator alone.
+    written = tmp_path / "out.json"
+    for argv, part in document_commands(tmp_path):
+        code, out, err = run(capsys, *argv, "-o", str(written))
+        assert code in (0, 1) and err == "", (argv, err)
+        assert run(capsys, *argv) == (code, out, err), argv
+        want = out if part is None else doc_text(json.loads(out)[part])
+        assert written.read_text() == want, argv
+
+
+def test_unwritable_output_prints_nothing(tmp_path, capsys):
     nowhere = str(tmp_path / "nodir" / "x.json")
-    for argv in (("gtl", "--tree", tree, "-o", nowhere),
-                 ("solve", "--game", str(game), "--dot", nowhere)):
+    commands = [argv for argv, _ in document_commands(tmp_path)]
+    solve = commands[0]
+    dot = tmp_path / "g.dot"
+    for argv in [argv + ("-o", nowhere) for argv in commands] + [
+            solve + ("--dot", nowhere), solve + ("--dot", str(dot), "-o", nowhere)]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert nowhere in err
+    # The DOT file is written before the document is, so it is whole.
+    assert dot.read_text().startswith("digraph")
+
+
+def test_module_run_prints_a_builtin():
+    proc = run_module("builtin", "M01")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with open(os.path.join(GOLDEN, "builtin_M01.json"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_separate_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -614,15 +686,10 @@ def test_separate_output_does_not_depend_on_the_hash_seed(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_doc(a, automaton_to_json(pair.a))
     write_doc(b, automaton_to_json(pair.b))
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     outs = []
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "treegames.cli", "separate", str(a), str(b),
-             "--level", "2", "--samples", "5"],
-            env=env, capture_output=True, timeout=120)
+        proc = run_module("separate", str(a), str(b), "--level", "2", "--samples", "5",
+                          hash_seed=hash_seed)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]

@@ -1,8 +1,8 @@
 """Every name imported by a package module or a test module is used,
 every module-level name of the package is exported or used, every public
 function of the package other than a documented few is used outside the
-tests, and every method or property of a package class is used outside
-the tests."""
+tests, every method or property of a package class is used outside the
+tests, and only the command line's main prints a command's document."""
 
 import ast
 import re
@@ -169,3 +169,30 @@ def functions_only_tests_read() -> list:
 
 def test_no_functions_only_tests_read():
     assert functions_only_tests_read() == []
+
+
+def cli_output_faults() -> list:
+    """(function, fault) of each way cli.py leaves its one output path:
+    main alone calls _emit, and no command but the interactive cmd_play
+    prints, writes sys.stdout or reads args.output."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    faults = []
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_emit" and function.name != "main"):
+                faults.append((function.name, "calls _emit"))
+            if not function.name.startswith("cmd_") or function.name == "cmd_play":
+                continue
+            if isinstance(node, ast.Name) and node.id == "print":
+                faults.append((function.name, "prints"))
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in {("sys", "stdout"), ("args", "output")}):
+                faults.append((function.name, f"reads {node.value.id}.{node.attr}"))
+    return faults
+
+
+def test_main_alone_writes_command_output():
+    assert cli_output_faults() == []
