@@ -20,7 +20,7 @@ DUALITY that flips both, W01 and gamelang's tree games are read off it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .trees import (
@@ -304,21 +304,7 @@ def intersection_product(a: NPTA, b: NPTA) -> NPTA:
 # Alternating automata.
 
 class Formula:
-    """Positive boolean combination of moves; see the subclasses.
-
-    Atom, And and Or compute their hash once, in __post_init__, from the
-    fields their equality compares, so hashing a game position that holds a
-    formula costs one call rather than a walk over the whole formula."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild from the fields, so that an unpickled formula hashes under
-        # its own process's string hash seed.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    """Positive boolean combination of moves; see the subclasses."""
 
 
 @dataclass(frozen=True)
@@ -338,9 +324,6 @@ class Atom(Formula):
     def __post_init__(self):
         if self.direction not in ("1", "2"):
             raise AutomatonError(f"direction must be '1' or '2', got {self.direction!r}")
-        object.__setattr__(self, "_hash", hash((self.direction, self.state)))
-
-    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -352,9 +335,6 @@ class _Junction(Formula):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise AutomatonError(f"{type(self).__name__} needs at least one part")
-        object.__setattr__(self, "_hash", hash((self.parts,)))
-
-    __hash__ = Formula.__hash__
 
 
 class And(_Junction):
@@ -403,24 +383,29 @@ class APTA:
 
 
 def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
-    """Eve resolves disjunctions, Adam conjunctions; an Atom advances to the
-    child state position.  TRUE strands Adam and FALSE strands Eve, so
-    they are winning and losing sinks for Eve.  Every position
+    """Eve resolves disjunctions, Adam conjunctions.  A state position
+    ("s", q, v) plays delta(q, label(v)) itself, and an Atom moves straight
+    to the child's state position; only a nested And, Or or Constant gets a
+    position ("f", q, v, f) of its own.  TRUE strands Adam and FALSE strands
+    Eve, so they are winning and losing sinks for Eve.  Every position
     carries the rank of its governing state."""
     _check_tree_alphabet(a, t)
+    rank, delta, label, step = a.rank, a.delta, t.label, t.step
+
+    def move(q, v, f):
+        if isinstance(f, Atom):
+            return ("s", f.state, step(v, f.direction))
+        return ("f", q, v, f)
 
     def expand(pos):
         q, v = pos[1], pos[2]
-        rank = a.rank[q]
-        if pos[0] == "s":
-            return EVE, rank, (("f", q, v, a.delta[q, t.label[v]]),)
-        f = pos[3]
+        f = delta[q, label[v]] if pos[0] == "s" else pos[3]
         if isinstance(f, Constant):
-            return (ADAM if f.value else EVE), rank, ()
+            return (ADAM if f.value else EVE), rank[q], ()
         if isinstance(f, Atom):
-            return EVE, rank, (("s", f.state, t.step(v, f.direction)),)
+            return EVE, rank[q], (move(q, v, f),)
         owner = EVE if isinstance(f, Or) else ADAM
-        return owner, rank, tuple(("f", q, v, part) for part in f.parts)
+        return owner, rank[q], tuple(move(q, v, part) for part in f.parts)
 
     return explore(("s", a.initial, t.root), expand)
 
@@ -432,7 +417,8 @@ def member_alt(a: APTA, t: RegularTree) -> bool:
 
 def npta_to_apta(a: NPTA) -> APTA:
     """Alternation-free embedding: each transition set becomes a disjunction
-    of And(Atom('1', left), Atom('2', right))."""
+    of And(Atom('1', left), Atom('2', right)).  Its acceptance game is a's
+    membership_game up to position names."""
     table = transition_table(a)
     delta = {
         (q, letter): transition_formula(table, q, letter, lambda p, d: Atom(d, p))

@@ -258,8 +258,8 @@ def graft_spine(subtrees_head, subtrees_tail, spine_label: str) -> RegularTree:
 # ---------------------------------------------------------------------------
 # Serialization.  Node words travel as strings over '1'/'2'; trees as
 #   {"alphabet": [...], "root": id, "nodes": [{"id", "label", "left", "right"}]}
-# with scalar (string or integer) node ids.  Other ids are relabeled in
-# breadth-first order.
+# with scalar (string or integer, never boolean) node ids.  Other ids are
+# relabeled in breadth-first order.
 
 def check_node_word(word) -> str:
     if not isinstance(word, str) or any(d not in DIRECTIONS for d in word):
@@ -365,11 +365,12 @@ def _json_text(v, nl):
 
 def doc_field(doc, key, kinds, what, error):
     """doc[key] after checking that doc is an object holding the key with a
-    value of the given type(s); raises `error` otherwise."""
+    value of the given type(s); raises `error` otherwise.  No typed field
+    takes a bool, though isinstance counts JSON's true and false as ints."""
     if not isinstance(doc, dict) or key not in doc:
         raise error(f"{what}: missing field {key!r}")
     value = doc[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and (not isinstance(value, kinds) or isinstance(value, bool)):
         raise error(f"{what}: field {key!r} has the wrong type")
     return value
 
@@ -386,8 +387,8 @@ def tree_from_json(doc: dict) -> RegularTree:
 def _bulk_entries(entries):
     # The label and child maps of node entries read field by field in bulk;
     # None unless every entry is a plain object, every label a str, every
-    # id and child a str, int or bool (what JSON gives that doc_field takes)
-    # and no id repeats.  _checked_entries reads the rest.
+    # id and child a str or int (what JSON gives that doc_field takes) and
+    # no id repeats.  _checked_entries reads the rest.
     if not set(map(type, entries)) <= {dict}:
         return None
     try:
@@ -398,7 +399,7 @@ def _bulk_entries(entries):
     except KeyError:
         return None
     if (not set(map(type, labels)) <= {str}
-            or not set(map(type, itertools.chain(ids, lefts, rights))) <= {str, int, bool}):
+            or not set(map(type, itertools.chain(ids, lefts, rights))) <= {str, int}):
         return None
     label = dict(zip(ids, labels))
     if len(label) < len(ids):

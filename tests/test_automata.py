@@ -438,8 +438,8 @@ def test_apta_json_round_trip():
 
 
 def test_equal_formulas_hash_equal():
-    # Hashes are cached at construction; equal formulas built apart, or
-    # read back from JSON, must still be equal and hash alike.
+    # Equal formulas built apart, or read back from JSON, must be equal and
+    # hash alike.
     def build(d):
         return Or((And((Atom("1", "p"), Atom("2", "q"))), Atom(d, "r"), TRUE))
 

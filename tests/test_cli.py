@@ -177,6 +177,25 @@ def test_member_alt_rejects_bad_ranks_on_load(tmp_path, capsys):
         assert (code, out) == (2, "") and "rank of" in err, (rank, err)
 
 
+def test_boolean_node_ids_are_input_errors(tmp_path, capsys):
+    # Ids are strings or integers.  JSON's true is neither, though Python
+    # takes it for 1, so read as it is it would collide with the id 1.
+    two_ids = {"alphabet": ["0", "1"], "root": 1, "nodes": [
+        {"id": 1, "label": "1", "left": True, "right": 1},
+        {"id": True, "label": "0", "left": 1, "right": 1}]}
+    docs = [two_ids]
+    for field in ("root", "id", "left", "right"):
+        node = {"id": "r", "label": "1", "left": "r", "right": "r"}
+        doc = {"alphabet": ["0", "1"], "root": "r", "nodes": [node]}
+        (doc if field == "root" else node)[field] = True
+        docs.append(doc)
+    for doc in docs:
+        path = tmp_path / "bool-ids.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "member", "--automaton", "L", "--tree", str(path))
+        assert (code, out) == (2, "") and "has the wrong type" in err, (doc, err)
+
+
 def test_empty_emits_witness_or_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "empty", "--automaton", "UBbin")
     assert code == 0

@@ -14,8 +14,10 @@ from treegames.games import ADAM, EVE, _solve, game_from_text, game_to_dot, game
 from treegames.trees import Alphabet, constant_tree, rename_tree, tree_to_json
 from treegames.automata import (
     BINARY,
+    BUILTIN_NAMES,
     DUALITY,
     GAME_ALPHABET,
+    Atom,
     acceptance_game,
     builtin,
     emptiness_game,
@@ -108,6 +110,32 @@ def test_decisions_match_the_named_lookup():
         i = rng.randint(0, 1)
         d = random_regular_tree(digits[i], 8, rng.randrange(10 ** 6))
         assert parity_lang_member(d, i, 3) == parity_lang_member_by_explore(d, i, 3), trial
+
+
+def test_acceptance_game_of_an_npta_is_its_membership_game():
+    # A state position plays its formula itself and an Atom moves straight
+    # to the child's state position, so embedding an NPTA changes only the
+    # position names of its game.  A position that only passes the play on
+    # would change no verdict, only the size.
+    rng = random.Random(434)
+    pairs = [(builtin(name), random_regular_tree(builtin(name).alphabet, 10, seed))
+             for name in (*BUILTIN_NAMES, "Mik(1,3)") for seed in range(5)]
+    for _ in range(600):
+        alphabet = rng.choice((BINARY, GAME_ALPHABET))
+        a = random_npta(rng, alphabet, 5, 4, density=rng.choice((0.2, 0.5, 0.8)))
+        pairs.append((a, random_regular_tree(alphabet, 12, rng.randrange(10 ** 6))))
+    for trial, (a, t) in enumerate(pairs):
+        alt, run = acceptance_game(npta_to_apta(a), t), membership_game(a, t)
+        assert (alt.owners, alt.prios, alt.succs) == (run.owners, run.prios, run.succs), trial
+
+    buchi = [builtin("L"), builtin("K-buchi")] + [side for pair in example_pairs()
+                                                  for side in (pair.a, pair.b)]
+    for a in buchi:
+        for level in range(4):
+            top = build_hierarchy(a, level).top
+            for seed in range(5):
+                g = acceptance_game(top, random_regular_tree(a.alphabet, 10, seed))
+                assert not any(p[0] == "f" and isinstance(p[3], Atom) for p in g.positions)
 
 
 def run_quietly(argv):

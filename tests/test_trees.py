@@ -292,6 +292,7 @@ def test_bulk_tree_loading_matches_the_entry_by_entry_oracle():
     rng = random.Random(427)
     kinds, errors, trimmed = set(), set(), 0
     for trial in range(3000):
+        applied = set()
         n = rng.randint(1, 8)
         ids = rng.sample([*range(12), *(f"v{i}" for i in range(12))], n)
         doc = {"alphabet": ["a", "b"], "root": rng.choice(ids), "nodes": [
@@ -300,11 +301,15 @@ def test_bulk_tree_loading_matches_the_entry_by_entry_oracle():
         for _ in range(rng.choice([0, 0, 1, 1, 2])):
             if not isinstance(doc["nodes"], list) or not any(isinstance(e, dict) for e in doc["nodes"]):
                 break
-            mutate_tree_doc(rng, doc, kinds)
+            mutate_tree_doc(rng, doc, applied)
+        kinds |= applied
         text = json.dumps(doc) if rng.random() < 0.5 else None
         got = tree_outcome(tree_from_json, json.loads(text) if text else doc)
         want = tree_outcome(tree_from_json_by_entries, doc)
         assert got == want, (trial, doc)
+        if applied and applied <= {"bool id", "bool child"}:
+            # A node id is a str or an int, never a bool.
+            assert re.search(LOAD_ERRORS["wrong type"], str(want)), (trial, doc, want)
         if isinstance(want, str):
             errors.update(k for k, pattern in LOAD_ERRORS.items() if re.search(pattern, want))
         else:
