@@ -236,7 +236,7 @@ def _product(a: NPTA, b: NPTA, initial: tuple, carry, rank) -> NPTA:
     """Reachable part of the synchronized product of a and b from `initial`.
     States are tuples (a-state, b-state, *extra): carry(s) gives the extra
     components both children of s get, rank(s) the rank of s.  A state's
-    name joins its components with '&'."""
+    name joins its components with '&', each with '\\' and '&' escaped."""
     ta, tb = transition_table(a), transition_table(b)
     order = [initial]
     seen = {initial}
@@ -253,7 +253,8 @@ def _product(a: NPTA, b: NPTA, initial: tuple, carry, rank) -> NPTA:
                         if nxt not in seen:
                             seen.add(nxt)
                             order.append(nxt)
-    name = {s: "&".join(map(str, s)) for s in order}
+    name = {s: "&".join(str(c).replace("\\", "\\\\").replace("&", "\\&") for c in s)
+            for s in order}
     return NPTA(
         a.alphabet,
         tuple(name[s] for s in order),
@@ -390,22 +391,20 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
     Eve, so they are winning and losing sinks for Eve.  Every position
     carries the rank of its governing state."""
     _check_tree_alphabet(a, t)
-    rank, delta, label, step = a.rank, a.delta, t.label, t.step
-
-    def move(q, v, f):
-        if isinstance(f, Atom):
-            return ("s", f.state, step(v, f.direction))
-        return ("f", q, v, f)
+    rank, delta, label = a.rank, a.delta, t.label
+    child = {"1": t.left, "2": t.right}
 
     def expand(pos):
         q, v = pos[1], pos[2]
         f = delta[q, label[v]] if pos[0] == "s" else pos[3]
         if isinstance(f, Constant):
-            return (ADAM if f.value else EVE), rank[q], ()
-        if isinstance(f, Atom):
-            return EVE, rank[q], (move(q, v, f),)
-        owner = EVE if isinstance(f, Or) else ADAM
-        return owner, rank[q], tuple(move(q, v, part) for part in f.parts)
+            owner, parts = (ADAM if f.value else EVE), ()
+        elif isinstance(f, Atom):
+            owner, parts = EVE, (f,)
+        else:
+            owner, parts = (EVE if isinstance(f, Or) else ADAM), f.parts
+        return owner, rank[q], [("s", p.state, child[p.direction][v]) if isinstance(p, Atom)
+                                else ("f", q, v, p) for p in parts]
 
     return explore(("s", a.initial, t.root), expand)
 

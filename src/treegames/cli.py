@@ -10,7 +10,8 @@ prints one JSON document to stdout, and exits with:
         sampling an empty language)
 
 `-o FILE` additionally writes the command's artifact to FILE: the printed
-document, or `reduce`'s tree or `separate`'s separator alone.  A command
+document, or `reduce`'s tree or `separate`'s separator alone.  One loop at
+the end of the argument parser gives `-o` to every document command.  A command
 returns its document and exit code (and that artifact), and `main` alone
 prints and writes them.  `play` is the one interactive command: a human
 plays one side of the tree game against the solver's strategy until the
@@ -278,10 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on regular infinite binary trees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output_flag(p):
-        p.add_argument("-o", "--output", metavar="FILE", default=None,
-                       help="also write the artifact to FILE")
-
     def automaton_flag(p):
         p.add_argument("--automaton", required=True, metavar="FILE",
                        help="automaton JSON file or builtin name")
@@ -290,35 +287,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", default=None,
                    help="write a DOT rendering with winning regions colored")
-    output_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("member", help="run-based membership test")
     automaton_flag(p)
     p.add_argument("--tree", required=True, metavar="FILE")
-    output_flag(p)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("member-alt", help="acceptance-game membership test")
     automaton_flag(p)
     p.add_argument("--tree", required=True, metavar="FILE")
-    output_flag(p)
     p.set_defaults(func=cmd_member_alt)
 
     p = sub.add_parser("empty", help="emptiness test with witness tree")
     automaton_flag(p)
-    output_flag(p)
     p.set_defaults(func=cmd_empty)
 
     p = sub.add_parser("gtl", help="membership in the game tree languages")
     p.add_argument("--tree", required=True, metavar="FILE")
-    output_flag(p)
     p.set_defaults(func=cmd_gtl)
 
     p = sub.add_parser("reduce", help="apply a Borel code's reduction to a tree")
     p.add_argument("--code", required=True, metavar="FILE")
     p.add_argument("--tree", required=True, metavar="FILE")
-    output_flag(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("separate",
@@ -330,13 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--level", type=int, default=None, metavar="N",
                    help="hierarchy level to emit (default: the full bound)")
-    output_flag(p)
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("dual", help="apply the owner/bit duality renaming")
     p.add_argument("--tree", metavar="FILE", default=None)
     p.add_argument("--automaton", metavar="FILE", default=None)
-    output_flag(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("play", help="play the tree game against the solver")
@@ -347,21 +336,22 @@ def _build_parser() -> argparse.ArgumentParser:
     automaton_flag(p)
     p.add_argument("--samples", type=int, default=10, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
-    output_flag(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("builtin", help="emit a builtin automaton as JSON")
     p.add_argument("name", help="one of: " + ", ".join(BUILTIN_NAMES) +
                                 ", Mik(i,k)")
-    output_flag(p)
     p.set_defaults(func=cmd_builtin)
 
     p = sub.add_parser("distance", help="ultrametric distance of two trees")
     p.add_argument("t1", metavar="T1")
     p.add_argument("t2", metavar="T2")
-    output_flag(p)
     p.set_defaults(func=cmd_distance)
 
+    for name, p in sub.choices.items():
+        if name != "play":
+            p.add_argument("-o", "--output", metavar="FILE", default=None,
+                           help="also write the artifact to FILE")
     return parser
 
 

@@ -35,7 +35,19 @@ from treegames.games import (
     solve,
     verify_strategy,
 )
-from treegames.automata import NPTA, emptiness_game, strategy_tree, transition_table
+from treegames.automata import (
+    APTA,
+    BINARY,
+    FALSE,
+    NPTA,
+    TRUE,
+    And,
+    Atom,
+    Or,
+    emptiness_game,
+    strategy_tree,
+    transition_table,
+)
 from treegames.gamelang import Cyl, Neg, Union
 from treegames.automata import GAME_ALPHABET
 
@@ -90,6 +102,39 @@ def random_npta(rng: random.Random, alphabet: Alphabet, max_states: int,
                                         rng.choice(states)))
     rank = {q: rng.randint(0, max_rank) for q in states}
     return NPTA(alphabet, states, states[0], tuple(transitions), rank)
+
+
+def random_formula(rng: random.Random, states, depth: int):
+    """And and Or nested up to `depth` deep over Atoms of `states`, with
+    TRUE and FALSE at any depth, the top included."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice((TRUE, FALSE))
+    if depth == 0 or roll < 0.4:
+        return Atom(rng.choice("12"), rng.choice(states))
+    parts = tuple(random_formula(rng, states, depth - 1) for _ in range(rng.randint(1, 3)))
+    return rng.choice((And, Or))(parts)
+
+
+def random_apta(rng: random.Random, alphabet: Alphabet, max_states: int,
+                max_rank: int, depth: int = 3) -> APTA:
+    n = rng.randint(1, max_states)
+    states = tuple(f"q{i}" for i in range(n))
+    delta = {(q, letter): random_formula(rng, states, depth)
+             for q in states for letter in alphabet}
+    rank = {q: rng.randint(0, max_rank) for q in states}
+    return APTA(alphabet, states, states[0], delta, rank)
+
+
+def ampersand_pair() -> tuple[NPTA, NPTA]:
+    """Two Büchi automata whose product states (x, y&z, 1) and (x&y, z, 1)
+    get one name if components are joined with '&' unescaped.  Both accept
+    the all-0 tree."""
+    a = NPTA(BINARY, ("x", "x&y"), "x",
+             (("x", "0", "x&y", "x&y"), ("x&y", "0", "x", "x")), {"x": 1, "x&y": 2})
+    b = NPTA(BINARY, ("y&z", "z"), "y&z",
+             (("y&z", "0", "z", "z"), ("z", "0", "y&z", "y&z")), {"y&z": 2, "z": 2})
+    return a, b
 
 
 def random_code(rng: random.Random, depth: int):

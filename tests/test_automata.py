@@ -48,7 +48,14 @@ from treegames.automata import (
     witness,
 )
 
-from helpers import brute_force_solve, det_member_oracle, random_npta, random_regular_tree, write_doc
+from helpers import (
+    ampersand_pair,
+    brute_force_solve,
+    det_member_oracle,
+    random_npta,
+    random_regular_tree,
+    write_doc,
+)
 
 
 def all_zero():
@@ -302,6 +309,40 @@ def test_det_buchi_product_language_is_the_intersection():
     for _ in range(150):
         t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
         assert member(product, t) == (member(a, t) and member(b, t)), t
+
+
+def test_product_names_join_escaped_components():
+    # A backslash or '&' inside a component is escaped before the join.  The Büchi
+    # product starts in phase 1; the deterministic one carries nothing.
+    a, b = ampersand_pair()
+    product = intersection_product(a, b)
+    assert product.states == ("x&y\\&z&1", "x\\&y&z&1", "x&y\\&z&2")
+    assert product.initial == "x&y\\&z&1"
+    assert member(product, all_zero()) and not member(product, all_one())
+    assert intersection_product(builtin("M01"), builtin("K-buchi")).initial == "0&q"
+
+
+def test_product_state_names_stay_distinct():
+    names = ("", "&", "\\", "a", "a&b", "b")
+    rng = random.Random(414)
+    hits = 0
+    for trial in range(200):
+        pair = []
+        for _ in range(2):
+            states = tuple(rng.sample(names, rng.randint(1, 4)))
+            transitions = tuple((q, letter, rng.choice(states), rng.choice(states))
+                                for q in states for letter in BINARY if rng.random() < 0.8)
+            pair.append(NPTA(BINARY, states, states[0], transitions,
+                             {q: rng.randint(1, 2) for q in states}))
+        a, b = pair
+        product = intersection_product(a, b)
+        assert len(set(product.states)) == len(product.states), trial
+        for _ in range(5):
+            t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
+            expected = member(a, t) and member(b, t)
+            hits += expected
+            assert member(product, t) == expected, trial
+    assert hits > 0
 
 
 def test_product_emptiness_detects_disjointness():

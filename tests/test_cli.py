@@ -37,7 +37,7 @@ from treegames.gamelang import ALL_EXISTS_ZERO, ALL_FORALL_ONE
 from treegames import cli
 from treegames.cli import main
 
-from helpers import digits_past_int_limit, write_doc
+from helpers import ampersand_pair, digits_past_int_limit, write_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -293,6 +293,17 @@ def test_separate_overlap_exits_3_with_witness(tmp_path, capsys):
     doc = json.loads(out)
     t = tree_from_json(doc["witness"])
     assert member(builtin("L"), t)
+
+
+def test_separate_overlap_of_states_named_with_ampersands(tmp_path, capsys):
+    a, b = ampersand_pair()
+    a_file, b_file = tmp_path / "a.json", tmp_path / "b.json"
+    write_doc(a_file, automaton_to_json(a))
+    write_doc(b_file, automaton_to_json(b))
+    code, out, _ = run(capsys, "separate", str(a_file), str(b_file))
+    assert code == 3
+    t = tree_from_json(json.loads(out)["witness"])
+    assert member(a, t) and member(b, t)
 
 
 def test_separate_requires_buchi(tmp_path, capsys):
@@ -661,6 +672,65 @@ def test_document_commands_are_every_command_but_play(tmp_path):
                     if isinstance(action, argparse._SubParsersAction))
     assert sorted(argv[0] for argv, _ in document_commands(tmp_path)) == sorted(
         set(commands) - {"play"})
+
+
+# Each command's arguments in order, as (option strings, dest, required,
+# default, type, choices, metavar, nargs, help); argparse's own -h left out.
+OUTPUT = (("-o", "--output"), "output", False, None, None, None, "FILE", None,
+          "also write the artifact to FILE")
+AUTOMATON = (("--automaton",), "automaton", True, None, None, None, "FILE", None,
+             "automaton JSON file or builtin name")
+TREE = (("--tree",), "tree", True, None, None, None, "FILE", None, None)
+ARGUMENTS = {
+    "solve": [
+        (("--game",), "game", True, None, None, None, "FILE", None, None),
+        (("--dot",), "dot", False, None, None, None, "FILE", None,
+         "write a DOT rendering with winning regions colored"),
+        OUTPUT],
+    "member": [AUTOMATON, TREE, OUTPUT],
+    "member-alt": [AUTOMATON, TREE, OUTPUT],
+    "empty": [AUTOMATON, OUTPUT],
+    "gtl": [TREE, OUTPUT],
+    "reduce": [(("--code",), "code", True, None, None, None, "FILE", None, None),
+               TREE, OUTPUT],
+    "separate": [
+        ((), "a", True, None, None, None, "A", None, "automaton JSON file or builtin name"),
+        ((), "b", True, None, None, None, "B", None, "automaton JSON file or builtin name"),
+        (("--samples",), "samples", False, 100, int, None, "N", None, None),
+        (("--seed",), "seed", False, 0, int, None, "N", None, None),
+        (("--level",), "level", False, None, int, None, "N", None,
+         "hierarchy level to emit (default: the full bound)"),
+        OUTPUT],
+    "dual": [(("--tree",), "tree", False, None, None, None, "FILE", None, None),
+             (("--automaton",), "automaton", False, None, None, None, "FILE", None, None),
+             OUTPUT],
+    "play": [TREE, (("--as",), "side", True, None, None, ("eve", "adam"), None, None, None)],
+    "sample": [AUTOMATON,
+               (("--samples",), "samples", False, 10, int, None, "N", None, None),
+               (("--seed",), "seed", False, 0, int, None, "N", None, None),
+               OUTPUT],
+    "builtin": [((), "name", True, None, None, None, None, None,
+                 "one of: L, M01, K-det, K-buchi, W01, W01-prime, UBbin, Mik(i,k)"),
+                OUTPUT],
+    "distance": [((), "t1", True, None, None, None, "T1", None, None),
+                 ((), "t2", True, None, None, None, "T2", None, None),
+                 OUTPUT],
+}
+
+
+def test_every_command_keeps_its_arguments_in_order():
+    # The actions, not the help text, which argparse words differently
+    # from one Python version to the next.  -o comes last on every
+    # command but play, so usage lines and errors keep their order.
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(ARGUMENTS)
+    for name, parser in commands.items():
+        got = [(tuple(a.option_strings), a.dest, a.required, a.default, a.type, a.choices,
+                a.metavar, a.nargs, a.help)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert got == ARGUMENTS[name], name
+        assert (got[-1] == OUTPUT) == (name != "play") and (OUTPUT in got) == (name != "play")
 
 
 def test_output_file_holds_the_printed_document(tmp_path, capsys):

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import random
+from collections import deque
 
 from treegames import automata, games
 from treegames.games import ADAM, EVE, _solve, game_from_text, game_to_dot, game_to_text, solve
@@ -17,7 +18,9 @@ from treegames.automata import (
     BUILTIN_NAMES,
     DUALITY,
     GAME_ALPHABET,
+    And,
     Atom,
+    Constant,
     acceptance_game,
     builtin,
     emptiness_game,
@@ -44,6 +47,7 @@ from treegames.cli import main
 
 from helpers import (
     parity_lang_member_by_explore,
+    random_apta,
     random_npta,
     random_regular_tree,
     reference_solve,
@@ -136,6 +140,56 @@ def test_acceptance_game_of_an_npta_is_its_membership_game():
             for seed in range(5):
                 g = acceptance_game(top, random_regular_tree(a.alphabet, 10, seed))
                 assert not any(p[0] == "f" and isinstance(p[3], Atom) for p in g.positions)
+
+
+def test_acceptance_game_follows_its_definition():
+    # A queue walk over the game's definition, on random alternating
+    # automata whose formulas put an Atom, TRUE or FALSE at the top and
+    # TRUE or FALSE inside And and Or, and on the separator levels.
+    def definition(a, t, pos):
+        q, v = pos[1], pos[2]
+        f = a.delta[q, t.label[v]] if pos[0] == "s" else pos[3]
+        if isinstance(f, Constant):
+            return (EVE if f.value is False else ADAM), a.rank[q], []
+        parts = [f] if isinstance(f, Atom) else list(f.parts)
+        moves = [("s", part.state, t.step(v, part.direction)) if isinstance(part, Atom)
+                 else ("f", q, v, part) for part in parts]
+        return (ADAM if isinstance(f, And) else EVE), a.rank[q], moves
+
+    rng = random.Random(435)
+    pairs = []
+    for _ in range(600):
+        alphabet = rng.choice((BINARY, GAME_ALPHABET))
+        a = random_apta(rng, alphabet, 4, 4, depth=rng.randint(0, 3))
+        pairs.append((a, random_regular_tree(alphabet, 10, rng.randrange(10 ** 6))))
+    buchi = [builtin("L"), builtin("K-buchi")] + [side for pair in example_pairs()
+                                                  for side in (pair.a, pair.b)]
+    for a in buchi:
+        for level in range(4):
+            top = build_hierarchy(a, level).top
+            pairs += [(top, random_regular_tree(a.alphabet, 10, seed)) for seed in range(3)]
+
+    seen = set()
+    for trial, (a, t) in enumerate(pairs):
+        start = ("s", a.initial, t.root)
+        order, index, queue = [start], {start: 0}, deque([start])
+        while queue:
+            for w in definition(a, t, queue.popleft())[2]:
+                if w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+                    queue.append(w)
+        labels = [definition(a, t, v) for v in order]
+        g = acceptance_game(a, t)
+        assert g.positions == tuple(order), trial
+        assert g.owners == tuple(owner for owner, _, _ in labels), trial
+        assert g.prios == tuple(prio for _, prio, _ in labels), trial
+        assert g.succs == tuple(tuple(index[w] for w in moves) for _, _, moves in labels), trial
+        for v in order:
+            f = a.delta[v[1], t.label[v[2]]] if v[0] == "s" else v[3]
+            seen.add((v[0], type(f).__name__))
+    assert {("s", "Atom"), ("s", "Constant"), ("f", "Constant"), ("f", "And"),
+            ("f", "Or")} <= seen
 
 
 def run_quietly(argv):
