@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .trees import (
@@ -33,7 +34,8 @@ from .trees import (
     same_symbols,
     _too_many_digits,
 )
-from .games import EVE, ADAM, ParityGame, Strategy, _named, _solve, explore, verify_strategy
+from .games import (EVE, ADAM, ParityGame, Strategy, _check_labels, _named, _solve, explore,
+                    verify_strategy)
 
 
 class AutomatonError(ValueError):
@@ -148,20 +150,79 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
     positions and picks a direction.  Both carry the source state's rank, so
     plays mirror run branches.  A state position without a matching
     transition is an Eve dead end, which is a loss for Eve.
+
+    The game is built on int keys over the N generator nodes in
+    breadth-first order, the root being node 0: the position of state q at
+    node v has key q·N + v, and the block of transition positions it moves
+    to has key |Q|·N + q·N + v, states numbered in the automaton's order.
+    Ids are handed out in breadth-first discovery order, and the names
+    ("s", q, v) and ("t", transition, v) are made only when read.
     """
     _check_tree_alphabet(a, t)
-    table = transition_table(a)
-    # Locals keep the per-position callback as cheap as an inline loop.
-    rank, label, left, right = a.rank, t.label, t.left, t.right
+    states, trans, nodes = a.states, a.transitions, t.nodes
+    n, m = len(nodes), len(states)
+    node_id = dict(zip(nodes, range(n)))
+    state_id = dict(zip(states, range(m)))
+    letter_id = {c: i for i, c in enumerate(a.alphabet.symbols)}
+    labels = list(map(letter_id.__getitem__, t.label.values()))
+    lefts = list(map(node_id.__getitem__, t.left.values()))
+    rights = list(map(node_id.__getitem__, t.right.values()))
+    # moves[q][c]: the transitions of state q on letter c, by number.
+    moves = [[[] for _ in letter_id] for _ in states]
+    for k, (q, c, _, _) in enumerate(trans):
+        moves[state_id[q]][letter_id[c]].append(k)
+    rank = [a.rank[q] for q in states]
+    to_left = [state_id[tr[2]] * n for tr in trans]
+    to_right = [state_id[tr[3]] * n for tr in trans]
 
-    def expand(pos):
-        if pos[0] == "s":
-            _, q, v = pos
-            return EVE, rank[q], [("t", tr, v) for tr in table.get((q, label[v]), ())]
-        _, (q, _, l, r), v = pos
-        return ADAM, rank[q], (("s", l, left[v]), ("s", r, right[v]))
+    # The queue holds state keys and block keys in id order.  A transition
+    # position's one predecessor is its state position, so the block gets
+    # the next ids when that is expanded, and only state keys are looked up.
+    start = state_id[a.initial] * n
+    ids = [None] * (m * n)
+    ids[start] = 0
+    queue = [start]
+    count = 1
+    owners, prios, succs = [], [], []
+    for key in queue:
+        q, v = divmod(key, n)
+        if q < m:
+            block = moves[q][labels[v]]
+            owners.append(EVE)
+            prios.append(rank[q])
+            succs.append(tuple(range(count, count + len(block))))
+            count += len(block)
+            queue.append(key + m * n)
+            continue
+        q -= m
+        left, right = lefts[v], rights[v]
+        for k in moves[q][labels[v]]:
+            w = to_left[k] + left
+            i = ids[w]
+            if i is None:
+                i = ids[w] = count
+                count += 1
+                queue.append(w)
+            w = to_right[k] + right
+            j = ids[w]
+            if j is None:
+                j = ids[w] = count
+                count += 1
+                queue.append(w)
+            owners.append(ADAM)
+            prios.append(rank[q])
+            succs.append((i, j))
 
-    return explore(membership_start(a, t), expand)
+    def names():
+        yield membership_start(a, t)
+        for q, v in map(divmod, queue[1:], repeat(n)):
+            if q < m:
+                yield "s", states[q], nodes[v]
+            else:
+                yield from (("t", trans[k], nodes[v]) for k in moves[q - m][labels[v]])
+
+    _check_labels(names(), owners, prios)
+    return ParityGame._of(names, owners, prios, succs)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def _generator_game(t: RegularTree, owner: dict, priority: dict) -> ParityGame:
     nodes = t.nodes
     index = dict(zip(nodes, range(len(nodes))))
     succs = zip(map(index.__getitem__, t.left.values()), map(index.__getitem__, t.right.values()))
-    return ParityGame._of(nodes, index, owners, prios, succs)
+    return ParityGame._of(nodes, owners, prios, succs, index)
 
 
 def in_w01(t: RegularTree) -> bool:
@@ -86,8 +86,8 @@ def in_w01_prime(t: RegularTree) -> bool:
 
 
 def _dual_game(g: ParityGame) -> ParityGame:
-    return ParityGame._of(g.positions, g.index, [1 - o for o in g.owners],
-                          [1 - b for b in g.prios], g.succs)
+    # Same names source, so neither game makes names unless one is read.
+    return ParityGame._of(g._names, [1 - o for o in g.owners], [1 - b for b in g.prios], g.succs)
 
 
 def _w01_verdicts(t: RegularTree) -> tuple[bool, bool]:

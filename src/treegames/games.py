@@ -8,9 +8,12 @@ positionally, so strategies are position-to-successor maps.
 A ParityGame is a name table over int arrays.  Position i is named
 positions[i]; owners[i], prios[i] and succs[i] hold its owner, priority
 and successor ids, and `index` maps names back to ids.  Names are any
-hashable values.  explore() and game_from_text() fill the arrays directly,
-solve() and verify_strategy() run on them, and names are read only to take
-a name in or hand one back.
+hashable values.  A game holds a names source and makes `positions` and
+`index` from it the first time either is read: explore() and
+game_from_text() hand over the names they already have, and
+membership_game() a function that makes them from its int keys.  solve()
+and verify_strategy() run on the arrays, and names are read only to take a
+name in or hand one back.
 
 solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
@@ -72,7 +75,10 @@ class ParityGame:
     Position i is named positions[i], is owned by owners[i], has priority
     prios[i] and moves to the ids succs[i]; `index` maps each name back to
     its id.  Id order is the deterministic tie-break order used by the
-    solver, so equal inputs give equal outputs.
+    solver, so equal inputs give equal outputs.  `positions` and `index`
+    are made from the game's names source the first time either is read,
+    so a caller that only solves never pays for names; explore() and
+    game_from_text() hand over the names they already have.
 
     ParityGame(positions, owner, priority, successors) takes name-keyed
     mappings, validates and converts them.  The read-only name-keyed
@@ -100,18 +106,36 @@ class ParityGame:
             owners.append(o)
             prios.append(p)
             succs.append(_ids(v, tuple(names), index))
-        self._fill(positions, index, owners, prios, succs)
+        self._fill(positions, owners, prios, succs, index)
 
     @classmethod
-    def _of(cls, positions, index, owners, prios, succs):
+    def _of(cls, names, owners, prios, succs, index=None):
         # From arrays already checked, bypassing the name-keyed constructor.
+        # `names` is the names source: the names in id order, or a function
+        # of no arguments that returns them.  An `index` given is kept.
         g = object.__new__(cls)
-        g._fill(positions, index, owners, prios, succs)
+        g._fill(names, owners, prios, succs, index)
         return g
 
-    def _fill(self, positions, index, owners, prios, succs):
-        self.__dict__.update(positions=tuple(positions), index=index, owners=tuple(owners),
-                             prios=tuple(prios), succs=tuple(succs))
+    def _fill(self, names, owners, prios, succs, index):
+        self.__dict__.update(_names=names, owners=tuple(owners), prios=tuple(prios),
+                             succs=tuple(succs))
+        if index is not None:
+            self.__dict__["index"] = index
+
+    def __getattr__(self, name):
+        # Runs only for an attribute not set yet: positions and index are
+        # made from the names source on first read and then kept.
+        d = self.__dict__
+        if name == "positions":
+            names = d["_names"]
+            value = tuple(names() if callable(names) else names)
+        elif name == "index":
+            value = dict(zip(self.positions, range(len(self.owners))))
+        else:
+            raise AttributeError(name)
+        d[name] = value
+        return value
 
     @cached_property
     def priority(self):
@@ -169,7 +193,7 @@ def explore(start, expand) -> ParityGame:
             ids.append(i)
         succs.append(tuple(ids))
     _check_labels(positions, owners, prios)
-    return ParityGame._of(positions, index, owners, prios, succs)
+    return ParityGame._of(positions, owners, prios, succs, index)
 
 
 @dataclass(frozen=True)
@@ -321,7 +345,7 @@ def _solve(g: ParityGame):
     winning region as a set of ids and strat[player] the player's strategy
     as an id-to-id dict.  Position 0, the start of an explore() game and
     the root of a generator game, is Eve's exactly when 0 in win[EVE]."""
-    n = len(g.positions)
+    n = len(g.owners)
     owner, prio, succ = g.owners, g.prios, g.succs
 
     # Route dead ends to a sink loop of the parity that loses for the owner.
@@ -555,9 +579,7 @@ def _plain_game(lines):
     succs = json.loads("[[" + "],[".join(moves) + "]]")
     if max(chain.from_iterable(succs), default=-1) >= n:
         return None
-    positions = tuple(range(n))
-    return ParityGame._of(positions, dict(zip(positions, positions)), map(_OWNERS.get, owners),
-                          numbers[n:], map(tuple, succs))
+    return ParityGame._of(range(n), map(_OWNERS.get, owners), numbers[n:], map(tuple, succs))
 
 
 def _game_from_lines(text):
@@ -597,7 +619,7 @@ def _game_from_lines(text):
         succs = [_ids(v, s, index) for v, s in zip(positions, moves)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, index, owners, prios, succs)
+    return ParityGame._of(positions, owners, prios, succs, index)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

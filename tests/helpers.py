@@ -429,7 +429,7 @@ def game_from_text_by_lines(text: str) -> ParityGame:
         succs = [_ids(v, s, index) for v, s in zip(positions, named)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, index, owners, prios, succs)
+    return ParityGame._of(positions, owners, prios, succs, index)
 
 
 def regular_tree_by_checks(alphabet, root, label, left, right) -> RegularTree:
@@ -484,6 +484,22 @@ def game_of_tree_by_explore(t: RegularTree) -> ParityGame:
         return (EVE if owner == "E" else ADAM), int(bit), (t.left[v], t.right[v])
 
     return explore(t.root, expand)
+
+
+def membership_game_by_explore(a: NPTA, t: RegularTree) -> ParityGame:
+    """Oracle for automata.membership_game: the game found by explore() on
+    tuple names, ("s", state, node) for Eve's positions and
+    ("t", transition, node) for Adam's, from ("s", initial, root)."""
+    table = transition_table(a)
+
+    def expand(pos):
+        if pos[0] == "s":
+            _, q, v = pos
+            return EVE, a.rank[q], [("t", tr, v) for tr in table.get((q, t.label[v]), ())]
+        _, (q, _, l, r), v = pos
+        return ADAM, a.rank[q], (("s", l, t.left[v]), ("s", r, t.right[v]))
+
+    return explore(("s", a.initial, t.root), expand)
 
 
 def parity_lang_member_by_explore(t: RegularTree, i: int, k: int) -> bool:

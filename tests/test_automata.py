@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from treegames import automata
 from treegames.trees import RegularTree, constant_tree
+from treegames.games import _solve, solve
+from treegames.gamelang import _dual_game, game_of_tree
 from treegames.automata import (
     APTA,
     And,
@@ -52,6 +55,7 @@ from helpers import (
     ampersand_pair,
     brute_force_solve,
     det_member_oracle,
+    membership_game_by_explore,
     random_npta,
     random_regular_tree,
     write_doc,
@@ -244,6 +248,63 @@ def test_member_witness_checks_out():
     w = member_witness(a, all_one())
     assert w is not None and w.check()
     assert member_witness(a, all_zero()) is None
+
+
+def test_membership_game_matches_explore_oracle():
+    # The int-keyed builder against the tuple-keyed explore() builder: the
+    # same names in the same order and the same arrays.  Node ids are ints,
+    # strings or tuples, state names hold '&' and '\\', and transitions are
+    # left out at random, which gives Eve dead ends.
+    rng = random.Random(415)
+    state_names = ("", "&", "\\", "a&b", "q\\&", "b")
+    node_ids = (lambda v: v, lambda v: f"n{v}", lambda v: ("n", v % 3, str(v)))
+    dead_ends = members = 0
+    for trial in range(300):
+        alphabet = rng.choice((BINARY, GAME_ALPHABET))
+        a = random_npta(rng, alphabet, 5, 4, density=rng.random())
+        s = dict(zip(a.states, rng.sample(state_names, len(a.states))))
+        if rng.random() < 0.5:
+            a = NPTA(alphabet, tuple(map(s.get, a.states)), s[a.initial],
+                     tuple((s[q], c, s[l], s[r]) for q, c, l, r in a.transitions),
+                     {s[q]: k for q, k in a.rank.items()})
+        t = random_regular_tree(alphabet, 8, rng.randrange(10 ** 6))
+        f = rng.choice(node_ids)
+        t = RegularTree(alphabet, f(t.root), {f(v): c for v, c in t.label.items()},
+                        {f(v): f(c) for v, c in t.left.items()},
+                        {f(v): f(c) for v, c in t.right.items()})
+        g, want = membership_game(a, t), membership_game_by_explore(a, t)
+        assert g.positions == want.positions, (trial, a, t)
+        assert list(g.index.items()) == list(want.index.items()), (trial, a, t)
+        assert (g.owners, g.prios, g.succs) == (want.owners, want.prios, want.succs), (trial, a, t)
+        w = member_witness(a, t)
+        assert (w is not None) == member(a, t), (trial, a, t)
+        if w is not None:
+            assert w.check() and w.start == membership_start(a, t), (trial, a, t)
+            members += 1
+        dead_ends += not all(g.succs)
+    assert dead_ends and members
+
+
+def test_membership_game_makes_names_only_when_read(monkeypatch):
+    # Pins a cost only, not a result: a decision that made names would give
+    # the same verdicts, so no other test notices it.  The names are made
+    # for callers that print or certify, such as solve().
+    a, t = builtin("UBbin"), leftmost_ones()
+    g = membership_game(a, t)
+    _solve(g)
+    assert "positions" not in vars(g) and "index" not in vars(g)
+    solved = []
+    monkeypatch.setattr(automata, "_solve", lambda game: solved.append(game) or _solve(game))
+    assert member(a, t)
+    assert len(solved) == 1 and "positions" not in vars(solved[0])
+    solve(g)
+    assert "positions" in vars(g) and g.positions[0] == membership_start(a, t)
+    # The dual game of a tree's induced game hands its names source on.
+    h = game_of_tree(constant_tree(GAME_ALPHABET, "(E,0)"))
+    dual = _dual_game(h)
+    _solve(dual)
+    assert "positions" not in vars(h) and "positions" not in vars(dual)
+    assert dual.positions == h.positions and dual.index == h.index
 
 
 def test_membership_rejects_foreign_alphabet():
