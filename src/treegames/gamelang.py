@@ -68,7 +68,7 @@ def _generator_game(t: RegularTree, owner: dict, priority: dict) -> ParityGame:
     nodes = t.nodes
     index = dict(zip(nodes, range(len(nodes))))
     succs = zip(map(index.__getitem__, t.left.values()), map(index.__getitem__, t.right.values()))
-    return ParityGame._of(nodes, owners, prios, succs, index)
+    return ParityGame._of(nodes, owners, prios, succs)
 
 
 def in_w01(t: RegularTree) -> bool:

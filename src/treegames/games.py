@@ -8,12 +8,12 @@ positionally, so strategies are position-to-successor maps.
 A ParityGame is a name table over int arrays.  Position i is named
 positions[i]; owners[i], prios[i] and succs[i] hold its owner, priority
 and successor ids, and `index` maps names back to ids.  Names are any
-hashable values.  A game holds a names source and makes `positions` and
-`index` from it the first time either is read: explore() and
-game_from_text() hand over the names they already have, and
-membership_game() a function that makes them from its int keys.  solve()
-and verify_strategy() run on the arrays, and names are read only to take a
-name in or hand one back.
+hashable values.  A game holds a names source: the names in id order, as
+explore() and game_from_text() have them, or a function that makes them,
+as membership_game() gives over its int keys.  `positions` and `index` are
+cached properties made from that source the first time each is read; no
+builder hands over an index.  solve() and verify_strategy() run on the
+arrays, and names are read only to take a name in or hand one back.
 
 solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -68,7 +68,6 @@ class GameError(ValueError):
     """Malformed game, strategy or document."""
 
 
-@dataclass(frozen=True, init=False)
 class ParityGame:
     """Finite game graph: a name table over int arrays.
 
@@ -76,20 +75,16 @@ class ParityGame:
     prios[i] and moves to the ids succs[i]; `index` maps each name back to
     its id.  Id order is the deterministic tie-break order used by the
     solver, so equal inputs give equal outputs.  `positions` and `index`
-    are made from the game's names source the first time either is read,
-    so a caller that only solves never pays for names; explore() and
-    game_from_text() hand over the names they already have.
+    are cached properties made from the game's names source the first time
+    either is read, so a caller that only solves never pays for names.  No
+    builder hands over an index.
 
     ParityGame(positions, owner, priority, successors) takes name-keyed
-    mappings, validates and converts them.  The read-only name-keyed
+    mappings, validates and converts them.  Games compare and hash by
+    positions, owners, prios and succs.  Attributes are plain and
+    assignable, and the repr is the default one.  The read-only name-keyed
     `priority` and `successors` views, built on first access, remain only
     for bench/spans.py."""
-
-    positions: tuple
-    owners: tuple
-    prios: tuple
-    succs: tuple
-    index: dict = field(compare=False, repr=False)
 
     def __init__(self, positions, owner, priority, successors):
         positions = tuple(positions)
@@ -106,36 +101,38 @@ class ParityGame:
             owners.append(o)
             prios.append(p)
             succs.append(_ids(v, tuple(names), index))
-        self._fill(positions, owners, prios, succs, index)
+        self._names, self.owners = positions, tuple(owners)
+        self.prios, self.succs = tuple(prios), tuple(succs)
 
     @classmethod
-    def _of(cls, names, owners, prios, succs, index=None):
+    def _of(cls, names, owners, prios, succs):
         # From arrays already checked, bypassing the name-keyed constructor.
         # `names` is the names source: the names in id order, or a function
-        # of no arguments that returns them.  An `index` given is kept.
+        # of no arguments that returns them.
         g = object.__new__(cls)
-        g._fill(names, owners, prios, succs, index)
+        g._names, g.owners = names, tuple(owners)
+        g.prios, g.succs = tuple(prios), tuple(succs)
         return g
 
-    def _fill(self, names, owners, prios, succs, index):
-        self.__dict__.update(_names=names, owners=tuple(owners), prios=tuple(prios),
-                             succs=tuple(succs))
-        if index is not None:
-            self.__dict__["index"] = index
+    def _key(self):
+        return self.positions, self.owners, self.prios, self.succs
 
-    def __getattr__(self, name):
-        # Runs only for an attribute not set yet: positions and index are
-        # made from the names source on first read and then kept.
-        d = self.__dict__
-        if name == "positions":
-            names = d["_names"]
-            value = tuple(names() if callable(names) else names)
-        elif name == "index":
-            value = dict(zip(self.positions, range(len(self.owners))))
-        else:
-            raise AttributeError(name)
-        d[name] = value
-        return value
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @cached_property
+    def positions(self):
+        names = self._names
+        return tuple(names() if callable(names) else names)
+
+    @cached_property
+    def index(self):
+        return dict(zip(self.positions, range(len(self.owners))))
 
     @cached_property
     def priority(self):
@@ -193,7 +190,7 @@ def explore(start, expand) -> ParityGame:
             ids.append(i)
         succs.append(tuple(ids))
     _check_labels(positions, owners, prios)
-    return ParityGame._of(positions, owners, prios, succs, index)
+    return ParityGame._of(positions, owners, prios, succs)
 
 
 @dataclass(frozen=True)
@@ -222,6 +219,9 @@ def _attract(player, attr, rest, owner, succ, pred):
     # predecessors are found from the other side: a scan of `rest` queues
     # the positions with a move into the targets by (the target that pulls
     # them in, id), which is the order the walk over the targets gives.
+    # The test `4 * len(rest) < len(attr)` is a cost-only switch: either
+    # side gives the same attractor and moves, so changing its factor or
+    # comparison changes no result.
     strat, counts = {}, {}
     if 4 * len(rest) < len(attr):
         first = []
@@ -270,6 +270,7 @@ def _attract(player, attr, rest, owner, succ, pred):
 
 def _union(x, y):
     # x | y, made by adding the smaller set to the larger one; both are spent.
+    # The size test is a cost-only switch: either order gives the same set.
     if len(x) < len(y):
         x, y = y, x
     x |= y
@@ -584,8 +585,9 @@ def _plain_game(lines):
 
 def _game_from_lines(text):
     # Each record is matched, its numbers converted and its id checked for
-    # a duplicate as it is read.
-    records = {}
+    # a duplicate as it is read; the name-keyed constructor checks the
+    # successors.
+    owner, prio, succ = {}, {}, {}
     header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -607,19 +609,15 @@ def _game_from_lines(text):
             moves = tuple(map(int, moves.split(","))) if moves else ()
         except ValueError:
             raise _too_many_digits(f"line {lineno}", GameError) from None
-        if v in records:
+        if v in owner:
             raise GameError(f"line {lineno}: duplicate position {v}")
-        records[v] = (_OWNERS[o], p, moves)
+        owner[v], prio[v], succ[v] = _OWNERS[o], p, moves
     if not header:
         raise GameError("line 1: expected header 'parity N;'")
-    positions = sorted(records)
-    index = dict(zip(positions, range(len(positions))))
-    owners, prios, moves = zip(*map(records.__getitem__, positions)) if records else ((), (), ())
     try:
-        succs = [_ids(v, s, index) for v, s in zip(positions, moves)]
+        return ParityGame(sorted(owner), owner, prio, succ)
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, owners, prios, succs, index)
 
 
 def game_to_dot(g: ParityGame, result: SolveResult | None = None) -> str:

@@ -429,7 +429,7 @@ def game_from_text_by_lines(text: str) -> ParityGame:
         succs = [_ids(v, s, index) for v, s in zip(positions, named)]
     except GameError as exc:
         raise GameError(f"inconsistent game: {exc}") from None
-    return ParityGame._of(positions, owners, prios, succs, index)
+    return ParityGame._of(positions, owners, prios, succs)
 
 
 def regular_tree_by_checks(alphabet, root, label, left, right) -> RegularTree:

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from treegames import automata
+from treegames import automata, gamelang
 from treegames.trees import RegularTree, constant_tree
-from treegames.games import _solve, solve
-from treegames.gamelang import _dual_game, game_of_tree
+from treegames.games import EVE, _solve, explore, game_from_text, solve
+from treegames.gamelang import _dual_game, game_of_tree, parity_lang_member
 from treegames.automata import (
     APTA,
     And,
@@ -305,6 +305,23 @@ def test_membership_game_makes_names_only_when_read(monkeypatch):
     _solve(dual)
     assert "positions" not in vars(h) and "positions" not in vars(dual)
     assert dual.positions == h.positions and dual.index == h.index
+    # Every builder leaves both names and index unmade until each is read,
+    # and the index then lists the ids in order: explore(), the plain and
+    # the line-by-line text parsers, the generator games of game_of_tree()
+    # and parity_lang_member(), membership_game() and _dual_game().
+    generated = []
+    monkeypatch.setattr(gamelang, "_solve", lambda game: generated.append(game) or _solve(game))
+    assert not parity_lang_member(t, 0, 1) and len(generated) == 1
+    h = game_of_tree(constant_tree(GAME_ALPHABET, "(A,1)"))
+    built = (explore("r", lambda v: (EVE, 1, ("a", "r") if v == "r" else ("r",))),
+             game_from_text("parity 1;\n0 1 0 1;\n1 0 1 0;\n"),
+             game_from_text('parity 2;\n0 1 0 2 "r";\n2 0 1 0;\n'),
+             h, generated[0], membership_game(a, t), _dual_game(h))
+    for g in built:
+        _solve(g)
+        assert "positions" not in vars(g) and "index" not in vars(g), g
+        assert list(g.index.values()) == list(range(len(g.owners))), g
+        assert "positions" in vars(g) and list(g.index) == list(g.positions), g
 
 
 def test_membership_rejects_foreign_alphabet():

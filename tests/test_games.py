@@ -375,6 +375,12 @@ def test_explore_gives_ids_in_breadth_first_discovery_order():
                     order.append(w)
                     queue.append(w)
         g = membership_game(a, t)
+        # Made from its names source, the game equals and hashes like the
+        # one the name-keyed constructor builds.
+        named = ParityGame(order, {v: EVE if v[0] == "s" else ADAM for v in order},
+                           {v: a.rank[v[1] if v[0] == "s" else v[1][0]] for v in order},
+                           {v: moves(v) for v in order})
+        assert "positions" not in vars(g) and g == named and hash(g) == hash(named), trial
         assert g.positions == tuple(order), trial
         assert list(g.index.items()) == [(v, i) for i, v in enumerate(order)], trial
         assert g.succs == tuple(tuple(order.index(w) for w in moves(v)) for v in order), trial
@@ -404,6 +410,8 @@ def test_solve_is_independent_of_position_names():
             renamed = ParityGame(
                 names, dict(zip(names, g.owners)), dict(zip(names, g.prios)),
                 {v: tuple(names[j] for j in s) for v, s in zip(names, g.succs)})
+            # Equal arrays, so the games are equal exactly when the names are.
+            assert (renamed == g) == (names == g.positions), (trial, g)
             want, got = solve(g), solve(renamed)
             assert got.eve_region == frozenset(map(name, want.eve_region)), (trial, g)
             assert got.adam_region == frozenset(map(name, want.adam_region)), (trial, g)
