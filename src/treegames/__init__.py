@@ -58,7 +58,6 @@ from .automata import (
     index_of,
     intersection_product,
     is_buchi,
-    is_deterministic,
     load_automaton,
     member,
     member_alt,

@@ -108,12 +108,6 @@ def is_buchi(a) -> bool:
     return set(a.rank.values()) <= {1, 2}
 
 
-def is_deterministic(a: NPTA) -> bool:
-    # An NPTA's transitions are distinct, so every group is a single
-    # transition exactly when no (state, letter) pair repeats.
-    return len(transition_table(a)) == len(a.transitions)
-
-
 def transition_table(a: NPTA) -> dict:
     """Transitions grouped by (state, letter), in transition order."""
     table = {}
@@ -326,8 +320,9 @@ def _product(a: NPTA, b: NPTA, initial: tuple, carry, rank) -> NPTA:
 
 
 def intersection_product(a: NPTA, b: NPTA) -> NPTA:
-    """Automaton for the intersection, for the two supported index shapes:
-    Büchi with Büchi (two-phase counter) and deterministic (0,1) with Büchi
+    """Automaton for the intersection, for the two supported shapes, each
+    read off the factors' rank sets: Büchi with Büchi (two-phase counter)
+    and co-Büchi (ranks within {0, 1}), of any determinism, with Büchi
     (single Rabin pair folded into ranks {1,2,3}).  Anything else raises
     UnsupportedProduct."""
     if not same_symbols(a.alphabet, b.alphabet):
@@ -347,7 +342,7 @@ def intersection_product(a: NPTA, b: NPTA) -> NPTA:
 
         return _product(a, b, (a.initial, b.initial, 1), carry, rank)
 
-    if is_deterministic(a) and index_of(a) == Index(0, 1) and is_buchi(b):
+    if set(a.rank.values()) <= {0, 1} and is_buchi(b):
         # Branches must see a-rank 1 finitely often and b-rank 2 infinitely
         # often; priority 3 flags the former, 2 rewards the latter.
         def prio(s):
@@ -357,9 +352,7 @@ def intersection_product(a: NPTA, b: NPTA) -> NPTA:
 
         return _product(a, b, (a.initial, b.initial), lambda s: (), prio)
 
-    raise UnsupportedProduct(
-        f"no product for indices {index_of(a)} x {index_of(b)}"
-        f"{'' if is_deterministic(a) else ' (left factor nondeterministic)'}")
+    raise UnsupportedProduct(f"no product for indices {index_of(a)} x {index_of(b)}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from treegames.automata import (
     index_of,
     intersection_product,
     is_buchi,
-    is_deterministic,
     load_automaton,
     member,
     member_alt,
@@ -115,8 +114,6 @@ def test_index_normalizes_to_low_rank():
 
 
 def test_is_deterministic_and_buchi():
-    assert is_deterministic(builtin("K-det"))
-    assert not is_deterministic(builtin("L"))
     assert is_buchi(builtin("L")) and is_buchi(builtin("K-buchi"))
     assert not is_buchi(builtin("K-det"))
 
@@ -401,26 +398,52 @@ def test_product_names_join_escaped_components():
 
 
 def test_product_state_names_stay_distinct():
+    # Left factors draw ranks from {1, 2} (Büchi) or {0, 1} (co-Büchi), and
+    # may have two transitions for a state and letter.
     names = ("", "&", "\\", "a", "a&b", "b")
     rng = random.Random(414)
-    hits = 0
+    hits = {True: 0, False: 0}
+    nondeterministic = 0
     for trial in range(200):
         pair = []
-        for _ in range(2):
+        for low in (rng.randint(0, 1), 1):
             states = tuple(rng.sample(names, rng.randint(1, 4)))
             transitions = tuple((q, letter, rng.choice(states), rng.choice(states))
-                                for q in states for letter in BINARY if rng.random() < 0.8)
+                                for q in states for letter in BINARY for _ in range(2)
+                                if rng.random() < 0.6)
             pair.append(NPTA(BINARY, states, states[0], transitions,
-                             {q: rng.randint(1, 2) for q in states}))
+                             {q: rng.randint(low, low + 1) for q in states}))
         a, b = pair
+        nondeterministic += not is_buchi(a) and len(transition_table(a)) < len(a.transitions)
         product = intersection_product(a, b)
         assert len(set(product.states)) == len(product.states), trial
         for _ in range(5):
             t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
             expected = member(a, t) and member(b, t)
-            hits += expected
+            hits[is_buchi(a)] += expected
             assert member(product, t) == expected, trial
-    assert hits > 0
+    assert hits[True] > 0 and hits[False] > 0, hits
+    assert nondeterministic > 0, "no nondeterministic co-Büchi left factor"
+
+
+def test_cobuchi_game_language_products_are_the_intersection():
+    # W01 and W01-prime are nondeterministic with ranks in {0, 1}.
+    rng = random.Random(415)
+    for name in ("W01", "W01-prime"):
+        a = builtin(name)
+        assert len(transition_table(a)) < len(a.transitions)
+        hits = 0
+        for trial in range(30):
+            b = random_npta(rng, GAME_ALPHABET, 3, 1)
+            b = NPTA(GAME_ALPHABET, b.states, b.initial, b.transitions,
+                     {q: r + 1 for q, r in b.rank.items()})
+            product = intersection_product(a, b)
+            for _ in range(4):
+                t = random_regular_tree(GAME_ALPHABET, 5, rng.randrange(10 ** 6))
+                expected = member(a, t) and member(b, t)
+                hits += expected
+                assert member(product, t) == expected, (name, trial)
+        assert hits > 0, name
 
 
 def test_product_emptiness_detects_disjointness():
@@ -436,6 +459,16 @@ def test_unsupported_product_combinations():
         intersection_product(builtin("K-det"), builtin("K-det"))
     with pytest.raises(UnsupportedProduct):
         intersection_product(builtin("L"), builtin("K-det"))
+    # Ranks {2, 3} have index (0, 1), but rank 3 is not the fold's rank 1:
+    # a rejects every tree, and the product must not accept one.
+    def stay(q):
+        return tuple((q, letter, q, q) for letter in BINARY)
+
+    a = NPTA(BINARY, ("o", "e"), "o", stay("o") + stay("e"), {"o": 3, "e": 2})
+    everything = NPTA(BINARY, ("q",), "q", stay("q"), {"q": 2})
+    assert index_of(a) == Index(0, 1) and not member(a, all_zero())
+    with pytest.raises(UnsupportedProduct):
+        intersection_product(a, everything)
 
 
 def test_product_alphabet_mismatch():
