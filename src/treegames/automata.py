@@ -363,13 +363,6 @@ class Formula:
 
 
 @dataclass(frozen=True)
-class Constant(Formula):
-    """TRUE or FALSE: the formula that holds, or fails, outright."""
-
-    value: bool
-
-
-@dataclass(frozen=True)
 class Atom(Formula):
     """Send one copy in the given direction ('1' or '2') in the given state."""
 
@@ -388,20 +381,18 @@ class _Junction(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise AutomatonError(f"{type(self).__name__} needs at least one part")
 
 
 class And(_Junction):
-    """Conjunction of its parts; Adam picks one."""
+    """Conjunction of its parts; Adam picks one.  TRUE has no parts."""
 
 
 class Or(_Junction):
-    """Disjunction of its parts; Eve picks one."""
+    """Disjunction of its parts; Eve picks one.  FALSE has no parts."""
 
 
-TRUE = Constant(True)
-FALSE = Constant(False)
+TRUE = And(())
+FALSE = Or(())
 
 
 def _formula_states(f: Formula):
@@ -440,10 +431,10 @@ class APTA:
 def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
     """Eve resolves disjunctions, Adam conjunctions.  A state position
     ("s", q, v) plays delta(q, label(v)) itself, and an Atom moves straight
-    to the child's state position; only a nested And, Or or Constant gets a
-    position ("f", q, v, f) of its own.  TRUE strands Adam and FALSE strands
-    Eve, so they are winning and losing sinks for Eve.  Every position
-    carries the rank of its governing state."""
+    to the child's state position; only a nested And or Or gets a position
+    ("f", q, v, f) of its own.  TRUE, the empty And, strands Adam and FALSE,
+    the empty Or, strands Eve, so they are winning and losing sinks for
+    Eve.  Every position carries the rank of its governing state."""
     _check_tree_alphabet(a, t)
     rank, delta, label = a.rank, a.delta, t.label
     child = {"1": t.left, "2": t.right}
@@ -451,9 +442,7 @@ def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
     def expand(pos):
         q, v = pos[1], pos[2]
         f = delta[q, label[v]] if pos[0] == "s" else pos[3]
-        if isinstance(f, Constant):
-            owner, parts = (ADAM if f.value else EVE), ()
-        elif isinstance(f, Atom):
+        if isinstance(f, Atom):
             owner, parts = EVE, (f,)
         else:
             owner, parts = (EVE if isinstance(f, Or) else ADAM), f.parts
@@ -485,11 +474,10 @@ def transition_formula(table: dict, q: str, letter: str, move) -> Formula:
     """The (q, letter) transitions of a transition_table as a formula: the
     disjunction over (q, letter, l, r) of And(move(l, '1'), move(r, '2')),
     FALSE when there is none."""
-    choices = [
+    return Or(tuple(
         And((move(l, "1"), move(r, "2")))
         for _, _, l, r in table.get((q, letter), ())
-    ]
-    return Or(tuple(choices)) if choices else FALSE
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +647,10 @@ def automaton_from_json(doc: dict) -> NPTA:
 
 
 def formula_to_json(f: Formula):
-    if isinstance(f, Constant):
-        return {"op": "true" if f.value else "false"}
     if isinstance(f, Atom):
         return {"op": "atom", "direction": f.direction, "state": f.state}
+    if not f.parts:
+        return {"op": "true" if isinstance(f, And) else "false"}
     op = "and" if isinstance(f, And) else "or"
     return {"op": op, "parts": [formula_to_json(part) for part in f.parts]}
 
@@ -676,6 +664,9 @@ def formula_from_json(doc) -> Formula:
                     doc_field(doc, "state", str, "formula", AutomatonError))
     if op in ("and", "or"):
         entries = doc_field(doc, "parts", list, "formula", AutomatonError)
+        if not entries:
+            # TRUE and FALSE have ops of their own.
+            raise AutomatonError(f"{op.capitalize()} needs at least one part")
         parts = tuple(formula_from_json(p) for p in entries)
         return And(parts) if op == "and" else Or(parts)
     raise AutomatonError(f"formula: unknown op {op!r}")

@@ -11,9 +11,9 @@ and successor ids, and `index` maps names back to ids.  Names are any
 hashable values.  A game holds a names source: the names in id order, as
 explore() and game_from_text() have them, or a function that makes them,
 as membership_game() gives over its int keys.  `positions` and `index` are
-cached properties made from that source the first time each is read; no
-builder hands over an index.  solve() and verify_strategy() run on the
-arrays, and names are read only to take a name in or hand one back.
+cached properties made from that source the first time each is read.
+solve() and verify_strategy() run on the arrays, and names are read only
+to take a name in or hand one back.
 
 solve() runs Zielonka's attractor-based algorithm (Zielonka, TCS 1998) with
 positions bucketed by priority and its recursion kept on an explicit stack,
@@ -76,8 +76,7 @@ class ParityGame:
     its id.  Id order is the deterministic tie-break order used by the
     solver, so equal inputs give equal outputs.  `positions` and `index`
     are cached properties made from the game's names source the first time
-    either is read, so a caller that only solves never pays for names.  No
-    builder hands over an index.
+    either is read, so a caller that only solves never pays for names.
 
     ParityGame(positions, owner, priority, successors) takes name-keyed
     mappings, validates and converts them.  Games compare and hash by
@@ -445,13 +444,19 @@ def _sccs(nodes, succ_of):
 
 def has_cycle_with_max_parity(nodes, succ_of, priority, parity) -> bool:
     """Whether some cycle of the graph has a maximal priority of the given
-    parity, by nested SCC decomposition (Emerson & Lei, LICS 1986).  Every
-    node of a nontrivial SCC lies on a cycle inside it, so one whose top
-    priority has the parity holds such a cycle; otherwise any such cycle
-    avoids the top-priority nodes and lies in the rest of the SCC."""
+    parity, by nested SCC decomposition (Emerson & Lei, LICS 1986).  Let
+    `top` be the highest priority of that parity in a node set: such a
+    cycle lies among the nodes of priority at most `top`.  Every node of a
+    nontrivial SCC there lies on a cycle inside it, so one that holds a
+    `top` node holds such a cycle; otherwise any such cycle lies in one of
+    the other SCCs, each of which has a lower `top`."""
     todo = [set(nodes)]
     while todo:
         sub = todo.pop()
+        top = max((priority[v] for v in sub if priority[v] % 2 == parity), default=None)
+        if top is None:
+            continue
+        sub = {v for v in sub if priority[v] <= top}
 
         def sub_succ(v):
             return [w for w in succ_of(v) if w in sub]
@@ -459,12 +464,9 @@ def has_cycle_with_max_parity(nodes, succ_of, priority, parity) -> bool:
         for comp in _sccs(sub, sub_succ):
             if len(comp) == 1 and comp[0] not in sub_succ(comp[0]):
                 continue
-            top = max(priority[v] for v in comp)
-            if top % 2 == parity:
+            if any(priority[v] == top for v in comp):
                 return True
-            rest = {v for v in comp if priority[v] != top}
-            if rest:
-                todo.append(rest)
+            todo.append(comp)
     return False
 
 

@@ -30,7 +30,6 @@ from treegames.games import (
     SolveResult,
     Strategy,
     _ids,
-    _sccs,
     explore,
     solve,
     verify_strategy,
@@ -165,10 +164,10 @@ def reachable_within(start, allowed, succ) -> set:
     return out
 
 
-def odd_dominated_cycle(nodes, succ, rank) -> bool:
-    """Whether some cycle's maximum rank is odd, by plain reachability."""
-    odd_ranks = sorted({rank[v] for v in nodes if rank[v] % 2 == 1})
-    for c in odd_ranks:
+def odd_dominated_cycle(nodes, succ, rank, parity=1) -> bool:
+    """Whether some cycle's maximum rank has the given parity (odd unless
+    stated), by plain reachability."""
+    for c in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
         allowed = {v for v in nodes if rank[v] <= c}
         for v in allowed:
             if rank[v] == c and v in reachable_within(v, allowed, succ):
@@ -368,25 +367,6 @@ def reference_solve(g: ParityGame) -> SolveResult:
     eve_region, eve_strategy = back(EVE)
     adam_region, adam_strategy = back(ADAM)
     return SolveResult(eve_region, adam_region, eve_strategy, adam_strategy)
-
-
-def max_parity_cycle_by_levels(nodes, succ_of, priority, parity) -> bool:
-    """Oracle for games.has_cycle_with_max_parity: one Tarjan pass per
-    candidate top priority c.  A cycle with maximum exactly c lives inside
-    the subgraph of priorities <= c and passes through a priority-c node,
-    and vice versa."""
-    for c in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}, reverse=True):
-        sub = {v for v in nodes if priority[v] <= c}
-
-        def sub_succ(v):
-            return [w for w in succ_of(v) if w in sub]
-
-        for comp in _sccs(sub, sub_succ):
-            if not any(priority[v] == c for v in comp):
-                continue
-            if len(comp) > 1 or comp[0] in sub_succ(comp[0]):
-                return True
-    return False
 
 
 _RECORD_LINE = re.compile(

@@ -482,10 +482,14 @@ def test_product_alphabet_mismatch():
 def test_formula_validation():
     with pytest.raises(AutomatonError):
         Atom("3", "q")
-    with pytest.raises(AutomatonError):
-        And(())
-    with pytest.raises(AutomatonError):
-        Or(())
+    assert And(()) == TRUE
+    assert Or(()) == FALSE
+    assert TRUE != FALSE
+    # A document writes TRUE and FALSE by their own ops, never as a
+    # part-less junction.
+    for op, name in (("and", "And"), ("or", "Or")):
+        with pytest.raises(AutomatonError, match=f"^{name} needs at least one part$"):
+            formula_from_json({"op": op, "parts": []})
 
 
 def test_apta_validation():

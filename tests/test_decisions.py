@@ -17,10 +17,11 @@ from treegames.automata import (
     BINARY,
     BUILTIN_NAMES,
     DUALITY,
+    FALSE,
     GAME_ALPHABET,
+    TRUE,
     And,
     Atom,
-    Constant,
     acceptance_game,
     builtin,
     emptiness_game,
@@ -149,8 +150,6 @@ def test_acceptance_game_follows_its_definition():
     def definition(a, t, pos):
         q, v = pos[1], pos[2]
         f = a.delta[q, t.label[v]] if pos[0] == "s" else pos[3]
-        if isinstance(f, Constant):
-            return (EVE if f.value is False else ADAM), a.rank[q], []
         parts = [f] if isinstance(f, Atom) else list(f.parts)
         moves = [("s", part.state, t.step(v, part.direction)) if isinstance(part, Atom)
                  else ("f", q, v, part) for part in parts]
@@ -187,9 +186,9 @@ def test_acceptance_game_follows_its_definition():
         assert g.succs == tuple(tuple(index[w] for w in moves) for _, _, moves in labels), trial
         for v in order:
             f = a.delta[v[1], t.label[v[2]]] if v[0] == "s" else v[3]
-            seen.add((v[0], type(f).__name__))
-    assert {("s", "Atom"), ("s", "Constant"), ("f", "Constant"), ("f", "And"),
-            ("f", "Or")} <= seen
+            seen.add((v[0], {TRUE: "TRUE", FALSE: "FALSE"}.get(f, type(f).__name__)))
+    assert {("s", "Atom"), ("s", "TRUE"), ("s", "FALSE"), ("f", "TRUE"), ("f", "FALSE"),
+            ("f", "And"), ("f", "Or")} <= seen
 
 
 def run_quietly(argv):

@@ -43,7 +43,6 @@ from helpers import (
     brute_force_solve,
     digits_past_int_limit,
     game_from_text_by_lines,
-    max_parity_cycle_by_levels,
     odd_dominated_cycle,
     random_game,
     random_npta,
@@ -240,6 +239,26 @@ def test_verify_handles_one_priority_per_position_long_chains():
     assert verify_strategy(g, res.adam_strategy, res.adam_region)
 
 
+def test_cycle_check_does_not_peel_priorities_of_the_wrong_parity(monkeypatch):
+    # Adam owns every position and every priority is even.  Peeling one top
+    # priority per SCC pass took 660 passes here.
+    n = 1000
+    rng = random.Random(3)
+    succ = {i: ((i + 1) % n, rng.randrange(n), rng.randrange(n)) for i in range(n)}
+    g = game({i: ADAM for i in range(n)}, {i: 2 * i for i in range(n)}, succ)
+    res = solve(g)
+    passes, sccs = [], games._sccs
+
+    def counted(nodes, succ_of):
+        passes.append(None)
+        return sccs(nodes, succ_of)
+
+    monkeypatch.setattr(games, "_sccs", counted)
+    assert res.eve_region == frozenset(range(n))
+    assert verify_strategy(g, res.eve_strategy, res.eve_region)
+    assert len(passes) <= 2
+
+
 def test_verify_rejects_bad_strategies():
     # Eve wins 0 by looping; sending her to the odd self-loop instead must
     # be flagged, as must a choice leaving her region.
@@ -275,10 +294,7 @@ def test_cycle_analysis_matches_reachability_oracle():
         for parity in (0, 1):
             got = has_cycle_with_max_parity(
                 list(range(n)), lambda v: succ[v], rank, parity)
-            flipped = {i: rank[i] + 1 for i in range(n)}
-            want = (odd_dominated_cycle(range(n), lambda v: succ[v], rank)
-                    if parity == 1 else
-                    odd_dominated_cycle(range(n), lambda v: succ[v], flipped))
+            want = odd_dominated_cycle(range(n), lambda v: succ[v], rank, parity)
             assert got == want, (trial, succ, rank, parity)
 
 
@@ -291,7 +307,7 @@ def test_nested_scc_cycle_check_matches_per_priority_oracle():
         prio = {i: rng.randint(0, 6) for i in range(n)}
         for parity in (0, 1):
             got = has_cycle_with_max_parity(range(n), lambda v: succ[v], prio, parity)
-            want = max_parity_cycle_by_levels(range(n), lambda v: succ[v], prio, parity)
+            want = odd_dominated_cycle(range(n), lambda v: succ[v], prio, parity)
             assert got == want, (trial, succ, prio, parity)
 
 
