@@ -114,14 +114,14 @@ def cmd_solve(args):
     g = game_from_text(read_text(args.game, GameError, "game text"))
     win, strat = _solve(g)
     # A parsed text's positions are ints in ascending id order, so sorting
-    # ids sorts names.
+    # ids sorts names.  A move is a tuple, which doc_text writes as a pair.
     names = g.positions
     eve, adam = strat
     doc = {
         "eve_region": [names[i] for i in sorted(win[EVE])],
         "adam_region": [names[i] for i in sorted(win[ADAM])],
-        "eve_strategy": [[names[i], names[eve[i]]] for i in sorted(eve)],
-        "adam_strategy": [[names[i], names[adam[i]]] for i in sorted(adam)],
+        "eve_strategy": [(names[i], names[eve[i]]) for i in sorted(eve)],
+        "adam_strategy": [(names[i], names[adam[i]]) for i in sorted(adam)],
     }
     # Written before anything is printed, so an unwritable path prints nothing.
     if args.dot:

@@ -319,12 +319,16 @@ def doc_text(doc) -> str:
     """The text every document file and command output is written in: the
     bytes of `json.dumps(doc, indent=2, sort_keys=True)` plus a newline.
     Documents hold str, int, bool, None, lists, tuples and dicts with str
-    keys; any other value raises TypeError."""
+    keys; any other value raises TypeError.  Two fast paths write a list of
+    ints and a list of int pairs, most of a `solve` document, by one format
+    call each, and any other list is written item by item; the path a list
+    takes changes cost, never the text."""
     return _json_text(doc, "\n") + "\n"
 
 
 # json.dumps falls back to its pure-Python encoder when `indent` is set; this
-# writer leaves each string to json's C escaper and each int to int.__repr__.
+# writer leaves each string to json's C escaper and each int to int.__repr__
+# (or to %d, which writes an exact int the same).
 _escape = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
 
@@ -337,10 +341,26 @@ def _json_text(v, nl):
         if not v:
             return "[]"
         inner = nl + "  "
+        sep = "," + inner
+        # Two fast paths write a list of exact ints, or of 2-item lists or
+        # tuples of exact ints, by one % format call.  Their guards are
+        # cost-only switches: a list that fails them takes the loop, to the
+        # same text.  The first item's type is tested alone first, so a
+        # list of dicts or strings pays one type() call, and the item types
+        # before len, which an int item would not take.
+        kind = type(v[0])
+        if kind is int and set(map(type, v)) == {int}:
+            return "[" + inner + sep.join(["%d"] * len(v)) % tuple(v) + nl + "]"
+        if (kind in (list, tuple) and set(map(type, v)) <= {list, tuple}
+                and set(map(len, v)) == {2}):
+            flat = tuple(itertools.chain.from_iterable(v))
+            if set(map(type, flat)) == {int}:
+                pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+                return "[" + inner + sep.join([pair] * len(v)) % flat + nl + "]"
         items = []
         for x in v:
             items.append(_int_text(x) if type(x) is int else _json_text(x, inner))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return "[" + inner + sep.join(items) + nl + "]"
     if isinstance(v, dict):
         if not v:
             return "{}"

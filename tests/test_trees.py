@@ -7,10 +7,12 @@ import os
 import random
 import re
 from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
+from treegames import trees
 from treegames.trees import (
     Alphabet,
     LetterRenaming,
@@ -387,20 +389,31 @@ def random_string(rng):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
 
 
+def random_int(rng):
+    return rng.choice([rng.randint(-300, 300), rng.randint(-10 ** 40, 10 ** 40)])
+
+
 def random_doc(rng, depth):
-    kind = rng.randrange(8 if depth else 4)
+    kind = rng.randrange(10 if depth else 4)
     if kind == 0:
         return rng.choice([None, True, False, 0, 1, -1])
     if kind == 1:
-        return rng.choice([rng.randint(-300, 300), rng.randint(-10 ** 40, 10 ** 40)])
+        return random_int(rng)
     if kind == 2:
         return random_string(rng)
     if kind == 3:
         return rng.choice([[], {}, (), [[]], ([],), [{}], {"": {}}, {"a": []}])
-    items = [random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    # Lists of ints and of int pairs, as lists, tuples or both, take the
+    # writer's fast paths.
     if kind == 4:
-        return items
+        return [random_int(rng) for _ in range(rng.randint(1, 6))]
     if kind == 5:
+        return [rng.choice((list, tuple))((random_int(rng), random_int(rng)))
+                for _ in range(rng.randint(1, 6))]
+    items = [random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
         return tuple(items)
     return {random_string(rng): v for v in items}
 
@@ -416,6 +429,47 @@ def test_doc_text_matches_json_dumps():
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         assert doc_text(json.loads(text)) == text, path
-    for bad in (1.5, {1, 2}, [0, {"x": 0.0}], {"x": frozenset()}, {1: 0}):
+    for bad in (1.5, {1, 2}, [0, {"x": 0.0}], {"x": frozenset()}, {1: 0},
+                [1, 1.5], [[1, 1.5]], [[1, 2], [3, 1.5]]):
         with pytest.raises(TypeError):
             doc_text(bad)
+
+
+class Small(IntEnum):
+    ONE = 1
+
+
+def test_doc_text_fast_paths_match_json_dumps():
+    # Int lists and int pair lists, written by one format call each, and
+    # near misses that must take the item loop, each at depths 1-4.
+    ints = list(range(-300, 300, 7)) + [10 ** 40, -(10 ** 40) + 1]
+    pairs = [[i, 3 * i - 1] for i in ints]
+    cases = [
+        ints, tuple(ints), [5], pairs, [tuple(p) for p in pairs],
+        [p if i % 3 else tuple(p) for i, p in enumerate(pairs)],
+        [0, True], [True, 0], [[1, True]], [[1, None]], [[1]], [[1, 2, 3]],
+        [[1, 2], [3]], [Small.ONE], [2, Small.ONE], [[Small.ONE, 2]],
+        [[1, 2], 3], [[1, 2], "3"], [[[1, 2], [3, 4]]], [(1, 2), [3, [4]]],
+    ]
+    for case in cases:
+        doc = case
+        for depth in range(1, 5):
+            assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", (depth, case)
+            doc = {"k": doc}
+
+
+def test_doc_text_writes_int_and_pair_lists_in_one_call(monkeypatch):
+    # The fast paths' guards choose a cost, never a result, so only counting
+    # the writer's calls shows a guard that sends one of these lists to the
+    # item loop.
+    calls = {"_json_text": 0, "_int_text": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(trees, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(trees, name, counted)
+    doc = {"ints": [3, 1, 2], "lists": [[0, 1], [2, 3]], "mixed": [[0, 1], (2, 3)]}
+    assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The document and its three lists; the item loop would add a call per
+    # pair and per int.
+    assert calls == {"_json_text": 4, "_int_text": 0}
