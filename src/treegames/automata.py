@@ -646,13 +646,24 @@ def automaton_from_json(doc: dict) -> NPTA:
     return NPTA(alphabet, states, initial, tuple(transitions), ranks)
 
 
-def formula_to_json(f: Formula):
-    if isinstance(f, Atom):
-        return {"op": "atom", "direction": f.direction, "state": f.state}
-    if not f.parts:
-        return {"op": "true" if isinstance(f, And) else "false"}
-    op = "and" if isinstance(f, And) else "or"
-    return {"op": op, "parts": [formula_to_json(part) for part in f.parts]}
+def formula_to_json(f: Formula, docs: dict | None = None):
+    """f's document.  With `docs`, which maps the id of each formula written
+    so far to its document, a formula object met again gets the same
+    document, so shared parts give a DAG; the caller keeps those formulas
+    alive, so no id in `docs` is reused."""
+    if docs is None:
+        docs = {}
+    doc = docs.get(id(f))
+    if doc is None:
+        if isinstance(f, Atom):
+            doc = {"op": "atom", "direction": f.direction, "state": f.state}
+        elif not f.parts:
+            doc = {"op": "true" if isinstance(f, And) else "false"}
+        else:
+            op = "and" if isinstance(f, And) else "or"
+            doc = {"op": op, "parts": [formula_to_json(part, docs) for part in f.parts]}
+        docs[id(f)] = doc
+    return doc
 
 
 def formula_from_json(doc) -> Formula:
@@ -673,8 +684,12 @@ def formula_from_json(doc) -> Formula:
 
 
 def apta_to_json(a: APTA) -> dict:
+    """The APTA's document, in which a formula object that a.delta holds in
+    several places has one sub-document (copy.deepcopy keeps the sharing,
+    so edit a formula in place only in a document read back from text)."""
+    docs = {}
     return _automaton_doc(a, "delta", [
-        {"state": q, "letter": letter, "formula": formula_to_json(a.delta[q, letter])}
+        {"state": q, "letter": letter, "formula": formula_to_json(a.delta[q, letter], docs)}
         for q in a.states
         for letter in a.alphabet
     ])

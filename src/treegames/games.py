@@ -209,7 +209,7 @@ class SolveResult:
     adam_strategy: Strategy
 
 
-def _attract(player, attr, rest, owner, succ, pred):
+def _attract(player, attr, rest, owner, succ, pred, todo=None):
     # Grows `attr` in place to its attractor for `player` inside the region
     # attr | rest, moving each position it pulls in out of `rest`, and
     # returns the moves that pulled in player-owned positions.  The queue is
@@ -220,7 +220,9 @@ def _attract(player, attr, rest, owner, succ, pred):
     # them in, id), which is the order the walk over the targets gives.
     # The test `4 * len(rest) < len(attr)` is a cost-only switch: either
     # side gives the same attractor and moves, so changing its factor or
-    # comparison changes no result.
+    # comparison changes no result.  So is `todo`, sorted(attr) as a list
+    # the walk may append to, passed by a caller that has sorted it already;
+    # the scan of `rest` ignores it.
     strat, counts = {}, {}
     if 4 * len(rest) < len(attr):
         first = []
@@ -240,7 +242,7 @@ def _attract(player, attr, rest, owner, succ, pred):
         todo = [v for _, v in first]
         strat = {v: u for u, v in first if owner[v] == player}
         attr.update(todo)
-    else:
+    elif todo is None:
         todo = sorted(attr)
     for u in todo:
         for v in pred[u]:
@@ -307,7 +309,7 @@ def _zielonka(m, owner, prio, succ, pred):
             a = region.intersection(bucket[d])
             tops = sorted(a)
             region -= a
-            astrat = _attract(sigma, a, region, owner, succ, pred)
+            astrat = _attract(sigma, a, region, owner, succ, pred, tops[:])
             stack.append((a, k, win, strat, sigma, tops, astrat))
             k += 1
             win, strat = [set(), set()], [{}, {}]

@@ -94,19 +94,23 @@ class SeparatorHierarchy:
 
 
 def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
+    """Levels 0..up_to for the Büchi automaton a.  Each level move is one
+    object, held by every transition of its level, so apta_to_json makes
+    one sub-document of it and doc_text writes that once per indent."""
     _require_buchi(a)
     if up_to < 0:
         raise ValueError("level must be nonnegative")
     table = transition_table(a)
     states, delta, rank = [], {}, {}
     for n in range(up_to + 1):
+        moves = {(p, d): _level_move(a, p, d, n) for p in a.states for d in "12"}
         for q in a.states:
             s = level_state(q, n)
             states.append(s)
             rank[s] = a.rank[q] if n else 0
             for letter in a.alphabet:
                 delta[s, letter] = transition_formula(
-                    table, q, letter, lambda p, d: _level_move(a, p, d, n))
+                    table, q, letter, lambda p, d: moves[p, d])
     top = APTA(a.alphabet, tuple(states), level_state(a.initial, up_to), delta, rank)
     return SeparatorHierarchy(top)
 

@@ -322,8 +322,11 @@ def doc_text(doc) -> str:
     keys; any other value raises TypeError.  Two fast paths write a list of
     ints and a list of int pairs, most of a `solve` document, by one format
     call each, and any other list is written item by item; the path a list
-    takes changes cost, never the text."""
-    return _json_text(doc, "\n") + "\n"
+    takes changes cost, never the text.  A value the document holds in
+    several places, such as a formula sub-document that apta_to_json
+    shares, is written once per indent when its text is short (at most
+    512 characters, each kept until the call returns)."""
+    return _json_text(doc, "\n", {}) + "\n"
 
 
 # json.dumps falls back to its pure-Python encoder when `indent` is set; this
@@ -331,12 +334,23 @@ def doc_text(doc) -> str:
 # (or to %d, which writes an exact int the same).
 _escape = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
+# The longest text _json_text's memo keeps until doc_text returns.  With no
+# limit it keeps the text of every value: 1.4 GB of texts for the 2.6 MB
+# text of a formula 400 And levels deep.  The values that separation
+# documents share are written in fewer characters.
+_MEMO_TEXT = 512
 
 
-def _json_text(v, nl):
+def _json_text(v, nl, memo):
     # v written at the indent that the line break `nl` carries.  Plain
     # loops, not comprehensions, keep one frame per nesting level, so this
-    # writes documents as deep as json.dumps did.
+    # writes documents as deep as json.dumps did.  `memo` maps (id(x), nl)
+    # to the text of each value x written so far inside v's document, up
+    # to _MEMO_TEXT characters long, so such a value that the document
+    # holds in several places is written once per indent; every x is held
+    # by the document, so no id is reused while doc_text runs.  The memo
+    # and its length test are cost-only switches: a value written again
+    # gets the same text.
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
@@ -359,7 +373,16 @@ def _json_text(v, nl):
                 return "[" + inner + sep.join([pair] * len(v)) % flat + nl + "]"
         items = []
         for x in v:
-            items.append(_int_text(x) if type(x) is int else _json_text(x, inner))
+            if type(x) is int:
+                text = _int_text(x)
+            else:
+                key = (id(x), inner)
+                text = memo.get(key)
+                if text is None:
+                    text = _json_text(x, inner, memo)
+                    if len(text) <= _MEMO_TEXT:
+                        memo[key] = text
+            items.append(text)
         return "[" + inner + sep.join(items) + nl + "]"
     if isinstance(v, dict):
         if not v:
@@ -367,7 +390,15 @@ def _json_text(v, nl):
         inner = nl + "  "
         items = []
         for k, x in sorted(v.items()):
-            text = _escape(x) if type(x) is str else _json_text(x, inner)
+            if type(x) is str:
+                text = _escape(x)
+            else:
+                key = (id(x), inner)
+                text = memo.get(key)
+                if text is None:
+                    text = _json_text(x, inner, memo)
+                    if len(text) <= _MEMO_TEXT:
+                        memo[key] = text
             items.append(_escape(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(v, str):

@@ -125,6 +125,25 @@ def random_apta(rng: random.Random, alphabet: Alphabet, max_states: int,
     return APTA(alphabet, states, states[0], delta, rank)
 
 
+def hierarchy_afresh(a: NPTA, up_to: int) -> APTA:
+    """separation.build_hierarchy(a, up_to).top with every level move made
+    anew for each use, so that no two transitions share a formula object:
+    level n sends p@n in direction d, and above level 0 an accepting
+    (rank 2) p also sends p@(n-1)."""
+    table = transition_table(a)
+
+    def move(p, d, n):
+        atom = Atom(d, f"{p}@{n}")
+        return atom if n == 0 or a.rank[p] == 1 else And((atom, Atom(d, f"{p}@{n - 1}")))
+
+    states = tuple(f"{q}@{n}" for n in range(up_to + 1) for q in a.states)
+    delta = {(f"{q}@{n}", letter): Or(tuple(And((move(l, "1", n), move(r, "2", n)))
+                                            for _, _, l, r in table.get((q, letter), ())))
+             for n in range(up_to + 1) for q in a.states for letter in a.alphabet}
+    rank = {f"{q}@{n}": a.rank[q] if n else 0 for n in range(up_to + 1) for q in a.states}
+    return APTA(a.alphabet, states, f"{a.initial}@{up_to}", delta, rank)
+
+
 def ampersand_pair() -> tuple[NPTA, NPTA]:
     """Two Büchi automata whose product states (x, y&z, 1) and (x&y, z, 1)
     get one name if components are joined with '&' unescaped.  Both accept

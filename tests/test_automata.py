@@ -593,6 +593,23 @@ def test_apta_json_round_trip():
     assert apta_from_json(apta_to_json(tricky)) == tricky
 
 
+def test_apta_document_has_one_sub_document_per_formula_object():
+    # A formula object held in several places gets one document, held in
+    # each of them; an equal formula built apart gets its own.
+    move = Atom("1", "q")
+    both = And((move, move, Atom("1", "q")))
+    shared = APTA(BINARY, ("q",), "q", {("q", "0"): Or((both, move)), ("q", "1"): both},
+                  {"q": 0})
+    doc = apta_to_json(shared)
+    f0, f1 = doc["delta"][0]["formula"], doc["delta"][1]["formula"]
+    assert f0["parts"][0] is f1 and f0["parts"][1] is f1["parts"][0] is f1["parts"][1]
+    assert f1["parts"][2] is not f1["parts"][0] and f1["parts"][2] == f1["parts"][0]
+    assert apta_from_json(doc) == shared
+    # Each call makes its own documents.
+    assert formula_to_json(both) is not formula_to_json(both)
+    assert apta_to_json(shared)["delta"][1]["formula"] is not f1
+
+
 def test_equal_formulas_hash_equal():
     # Equal formulas built apart, or read back from JSON, must be equal and
     # hash alike.

@@ -151,7 +151,9 @@ def valid_inputs(rng):
         "a": automaton_to_json(pair.a),
         "b": automaton_to_json(pair.b),
         "npta": automaton_to_json(a),
-        "apta": apta_to_json(apta),
+        # Read back from its text: apta_to_json shares the document of a
+        # formula object held in several places, and mutate edits in place.
+        "apta": json.loads(json.dumps(apta_to_json(apta))),
         "tree": tree_to_json(random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))),
         "tree2": tree_to_json(random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))),
         "gtree": tree_to_json(random_regular_tree(GAME_ALPHABET, 5, rng.randrange(10 ** 6))),

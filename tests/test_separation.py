@@ -1,17 +1,20 @@
 """Separator hierarchy, disjointness checking, sampling, verification."""
 
+import json
 import math
 import random
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, tree_to_json
+from treegames.trees import bisimilar, constant_tree, doc_text, tree_to_json
 from treegames.automata import (
     APTA,
     BINARY,
     BUILTIN_NAMES,
     NPTA,
     TRUE,
+    acceptance_game,
+    apta_to_json,
     builtin,
     is_buchi,
     member,
@@ -32,7 +35,7 @@ from treegames.separation import (
     verify_separation,
 )
 
-from helpers import random_npta, random_regular_tree, reference_sample
+from helpers import hierarchy_afresh, random_npta, random_regular_tree, reference_sample
 
 
 def singleton(symbol):
@@ -90,6 +93,40 @@ def test_lower_levels_are_prefixes_of_higher_ones():
                 assert top.delta == {k: f for k, f in tall.delta.items() if k[0] in states}
                 assert top.rank == {q: tall.rank[q] for q in states}
                 assert top.initial == f"{a.initial}@{n}"
+
+
+def test_shared_level_moves_change_no_automaton_game_or_document():
+    # Each level move is one object, held by every transition of its level;
+    # the reference makes each afresh.  Formulas are compared by value, so
+    # the automata, their acceptance games and their documents are the same.
+    bases = [a for pair in example_pairs() for a in (pair.a, pair.b)]
+    bases += [builtin("L"), builtin("K-buchi")]
+    rng = random.Random(3007)
+    for i, a in enumerate(bases):
+        trees = [random_regular_tree(a.alphabet, 6, rng.randrange(10 ** 6)) for _ in range(20)]
+        for n in range(9):
+            top, afresh = build_hierarchy(a, n).top, hierarchy_afresh(a, n)
+            assert top == afresh, (i, n)
+            assert doc_text(apta_to_json(top)) == doc_text(apta_to_json(afresh)), (i, n)
+            for t in trees:
+                g, h = acceptance_game(top, t), acceptance_game(afresh, t)
+                assert (g.owners, g.prios, g.succs) == (h.owners, h.prios, h.succs), (i, n, t)
+
+
+def test_hierarchy_document_holds_each_level_move_once():
+    # L's accepting state gives each level above 0 an And move; one such
+    # object, and so one sub-document, serves every transition that uses it.
+    top = build_hierarchy(builtin("L"), 3).top
+    doc = apta_to_json(top)
+    moves, uses = {}, 0
+    for entry in doc["delta"]:
+        for choice in entry["formula"].get("parts", ()):
+            for move in choice["parts"]:
+                moves.setdefault(json.dumps(move, sort_keys=True), set()).add(id(move))
+                uses += 1
+    assert all(len(ids) == 1 for ids in moves.values()), moves
+    assert any(json.loads(text)["op"] == "and" for text in moves)
+    assert uses > len(moves) > 0
 
 
 def test_hierarchy_wants_buchi_ranks():

@@ -394,7 +394,7 @@ def random_int(rng):
 
 
 def random_doc(rng, depth):
-    kind = rng.randrange(10 if depth else 4)
+    kind = rng.randrange(11 if depth else 4)
     if kind == 0:
         return rng.choice([None, True, False, 0, 1, -1])
     if kind == 1:
@@ -410,6 +410,16 @@ def random_doc(rng, depth):
     if kind == 5:
         return [rng.choice((list, tuple))((random_int(rng), random_int(rng)))
                 for _ in range(rng.randint(1, 6))]
+    if kind == 10:
+        # One dict, list, tuple, int list or pair list held in several
+        # places, at one depth and at deeper ones, which the writer writes
+        # once per indent.
+        shared = random_doc(rng, depth - 1)
+        while not (isinstance(shared, (dict, list, tuple)) and shared):
+            shared = random_doc(rng, depth - 1)
+        items = [shared] * rng.randint(2, 3) + [{"k": shared}, [shared, {"": [shared]}]]
+        rng.shuffle(items)
+        return items
     items = [random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
     if kind == 6:
         return items
@@ -473,3 +483,31 @@ def test_doc_text_writes_int_and_pair_lists_in_one_call(monkeypatch):
     # The document and its three lists; the item loop would add a call per
     # pair and per int.
     assert calls == {"_json_text": 4, "_int_text": 0}
+
+
+def test_doc_text_writes_a_short_shared_value_once_per_indent(monkeypatch):
+    # The memo and its length limit change cost, never the text, so only
+    # counting the writer's calls shows that a value held in several places
+    # is written once per indent when its text is short enough to keep.
+    def sized(n):
+        # A dict written in n characters as an item of a top-level list or
+        # a value of a top-level dict.
+        return {"s": "x" * (n - len(trees._json_text({"s": ""}, "\n    ", {})))}
+
+    shared = {"op": "atom", "state": "q"}
+    equal = dict(shared)
+    fits, over = sized(trees._MEMO_TEXT), sized(trees._MEMO_TEXT + 1)
+    fits_in, over_in = sized(trees._MEMO_TEXT), sized(trees._MEMO_TEXT + 1)
+    doc = {"three": [shared, shared, shared], "once_more": shared, "equal": [equal, equal],
+           "fits": [fits, fits], "over": [over, over],
+           "fits_in": {"a": fits_in, "b": fits_in}, "over_in": {"a": over_in, "b": over_in}}
+    calls = []
+    write = trees._json_text
+    monkeypatch.setattr(trees, "_json_text", lambda *args: calls.append(args[0]) or write(*args))
+    assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The document and its six containers, `shared` at two indents, and
+    # `equal`, an equal dict of its own, and the two that fit at one; those
+    # one character over the limit are written at each place.
+    containers = [doc] + [doc[k] for k in ("three", "equal", "fits", "over", "fits_in", "over_in")]
+    assert sorted(map(id, calls)) == sorted(map(id, containers + [
+        shared, shared, equal, fits, fits_in, over, over, over_in, over_in]))
