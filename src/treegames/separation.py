@@ -6,25 +6,29 @@ automaton built as a finite hierarchy over a's state set.  All levels
 Level 0 accepts the trees admitting any a-run at all (a pure safety check,
 every q@0 ranked 0).  Level n+1 re-runs a with its Büchi ranks, but
 whenever a branch passes through an accepting (rank 2) state p, it
-additionally launches p@n, the level-n check on the subtree there.  Each
-level squeezes the accepted set closer to T(a); level k is
+additionally launches p@n, the level-n check on the subtree there.  A
+winning run of a passes every such check, so level 1 already accepts
+exactly T(a), and so does every level above it; level k is
 build_hierarchy(a, k).top, the APTA on levels 0..k started at q0@k for a's
 initial state q0.  The level to synthesize at is 2^(|a| * |b|) + 1 by
 default, which is far more than the shipped examples need.
 
 T(a) always sits inside every level, so verification is sample-based on the
 b side: draw members of both languages and check the separator accepts the
-a-samples and rejects the b-samples.
+a-samples and rejects the b-samples.  A hierarchy decides each sample by one
+solve of a's membership game (SeparatorHierarchy.accepts), so checking a
+sample does not grow with the level; building and writing the separator do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 
 from .trees import RegularTree, bisimilar, tree_to_json
-from .games import EVE, Strategy, _solve, verify_strategy
+from .games import EVE, ParityGame, Strategy, _solve, verify_strategy
 from .automata import (
     APTA,
     BINARY,
@@ -37,6 +41,7 @@ from .automata import (
     intersection_product,
     is_buchi,
     member_alt,
+    membership_game,
     rename_automaton,
     strategy_tree,
     transition_formula,
@@ -88,9 +93,34 @@ class SeparatorHierarchy:
     """build_hierarchy(a, n): levels 0..n of the construction for a, as
     one APTA `top` whose states q@k run level k and whose initial state is
     a's initial state on level n.  Level k on its own is
-    build_hierarchy(a, k).top."""
+    build_hierarchy(a, k).top.  accepts(t) is member_alt(top, t), decided
+    on a's membership game without building top's acceptance game: its
+    cost does not grow with the level."""
 
+    base: NPTA
+    level: int
     top: APTA
+
+    def accepts(self, t: RegularTree) -> bool:
+        return _level_accepts(self.base, self.level, t)
+
+
+def _level_accepts(a: NPTA, level: int, t: RegularTree) -> bool:
+    """Whether level `level` of a's hierarchy accepts t, decided by one
+    solve of a's membership game, whose state positions (q, v) stand for
+    q@n at v.  Level 0 is Eve's region S_0 with every priority 0: some run
+    of a.  Level n >= 1 is her region with a's ranks where each state
+    position keeps only the transitions whose rank-2 targets lie in
+    S_{n-1}, the checks Adam may launch.  Let B be her region with a's
+    ranks and no transition dropped.  Dropping transitions only shrinks
+    her region, so S_n lies in B.  B lies in S_0, and a strategy that wins
+    B keeps every play in B, so it picks only transitions whose targets
+    lie in B, and so in S_{n-1} once B does.  So B is S_n for every
+    n >= 1: every level above 0 accepts exactly T(a)."""
+    game = membership_game(a, t)
+    prios = game.prios if level else [0] * len(game.prios)
+    win, _ = _solve(ParityGame._of((), game.owners, prios, game.succs))
+    return 0 in win[EVE]
 
 
 def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
@@ -112,7 +142,7 @@ def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
                 delta[s, letter] = transition_formula(
                     table, q, letter, lambda p, d: moves[p, d])
     top = APTA(a.alphabet, tuple(states), level_state(a.initial, up_to), delta, rank)
-    return SeparatorHierarchy(top)
+    return SeparatorHierarchy(a, up_to, top)
 
 
 def disjointness_witness(a: NPTA, b: NPTA) -> RegularTree | None:
@@ -260,16 +290,21 @@ class SeparationReport:
         return not self.failures
 
 
-def verify_separation(separator: APTA, a: NPTA, b: NPTA, n: int, seed: int,
+def verify_separation(separator: APTA | SeparatorHierarchy, a: NPTA, b: NPTA,
+                      n: int, seed: int,
                       disjointness_checked: bool = False) -> SeparationReport:
-    """Sample both languages and check the separator's verdicts.  Violations
-    are recorded in the report, never raised."""
+    """Sample both languages and check the separator's verdicts.  A
+    SeparatorHierarchy decides each sample by its accepts(t), on its base's
+    membership game; any other APTA by member_alt.  Both give the same
+    report.  Violations are recorded in the report, never raised."""
     sample_a = sample_language(a, n, seed)
     sample_b = sample_language(b, n, seed + 1)
+    accepts = (separator.accepts if isinstance(separator, SeparatorHierarchy)
+               else partial(member_alt, separator))
     failures = []
     for side, sample, want in (("accept", sample_a, True), ("reject", sample_b, False)):
         for i, t in enumerate(sample.trees):
-            got = member_alt(separator, t)
+            got = accepts(t)
             if got != want:
                 failures.append(SeparationFailure(side, i, want, got, t))
     return SeparationReport(

@@ -3,10 +3,11 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from treegames.trees import bisimilar, constant_tree, doc_text, tree_to_json
+from treegames.trees import RegularTree, bisimilar, constant_tree, doc_text, tree_to_json
 from treegames.automata import (
     APTA,
     BINARY,
@@ -308,3 +309,100 @@ def test_example_pairs_are_disjoint_and_separable():
         separator = synthesize_separator(pair.a, pair.b, level=pair.level)
         report = verify_separation(separator, pair.a, pair.b, 12, 9)
         assert report.passed, (pair.name, report.failures)
+
+
+def buchi_bases(count, seed):
+    """Both sides of every example pair, L, K-buchi, and random Büchi NPTAs
+    with up to 4 states, `count` automata in all."""
+    bases = [side for pair in example_pairs() for side in (pair.a, pair.b)]
+    bases += [builtin("L"), builtin("K-buchi")]
+    rng = random.Random(seed)
+    while len(bases) < count:
+        a = random_npta(rng, BINARY, 4, 2)
+        if is_buchi(a):
+            bases.append(a)
+    return bases, rng
+
+
+def test_hierarchy_accepts_as_member_alt_on_its_top():
+    # The one-solve decision on a's membership game against the acceptance
+    # game of the whole hierarchy.
+    bases, rng = buchi_bases(60, 11)
+    verdicts = set()
+    for i, a in enumerate(bases):
+        trees = [random_regular_tree(a.alphabet, 6, rng.randrange(10 ** 6)) for _ in range(12)]
+        for k in (0, 1, 2, 3, 5, 9, 17):
+            hierarchy = build_hierarchy(a, k)
+            for t in trees:
+                want = member_alt(hierarchy.top, t)
+                assert hierarchy.accepts(t) == want, (i, k, t)
+                verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def level_region(a, n, t):
+    """The state positions (q, v) Eve wins on level n: member_alt on the
+    level-n hierarchy entered at q@n, on t's subtree at v."""
+    top = build_hierarchy(a, n).top
+    return {(q, v) for q in a.states for v in t.label
+            if member_alt(replace(top, initial=f"{q}@{n}"),
+                          RegularTree(t.alphabet, v, t.label, t.left, t.right))}
+
+
+def test_level_regions_are_nested_and_equal_above_level_0():
+    # S_0 ⊇ S_1 = S_2 = ... = B, a's own region: SeparatorHierarchy.accepts
+    # solves one game for any level.
+    bases, rng = buchi_bases(24, 5)
+    shrunk = 0
+    for i, a in enumerate(bases):
+        for _ in range(3):
+            t = random_regular_tree(a.alphabet, 5, rng.randrange(10 ** 6))
+            regions = [level_region(a, n, t) for n in range(5)]
+            runs = {(q, v) for q in a.states for v in t.label
+                    if member(replace(a, initial=q),
+                              RegularTree(t.alphabet, v, t.label, t.left, t.right))}
+            assert regions[1] <= regions[0], (i, t)
+            assert regions[1:] == [runs] * 4, (i, t)
+            shrunk += regions[1] != regions[0]
+    assert shrunk
+
+
+def test_level_65537_verdict_matches_a_buildable_level():
+    # Two 4-state automata get the default level 2^16 + 1.  A chain of
+    # nested regions of at most |Q|·N state positions is fixed by level
+    # |Q|·N + 1, where member_alt can still build the hierarchy.
+    rng = random.Random(3)
+    while True:
+        a, b = random_npta(rng, BINARY, 4, 2), random_npta(rng, BINARY, 4, 2)
+        if (len(a.states) == len(b.states) == 4 and is_buchi(a) and is_buchi(b)
+                and witness(a) and witness(b) and disjointness_witness(a, b) is None):
+            break
+    level = separator_level_bound(4, 4)
+    assert level == 65537
+    L = builtin("L")
+    for base, other in ((a, b), (L, singleton("0"))):
+        trees = list(sample_language(base, 6, 1).trees) + list(sample_language(other, 6, 2).trees)
+        trees += [random_regular_tree(BINARY, 6, rng.randrange(10 ** 6)) for _ in range(20)]
+        verdicts = set()
+        for t in trees:
+            got = separation._level_accepts(base, level, t)
+            fixed = len(base.states) * len(t.label) + 1
+            assert got == member_alt(build_hierarchy(base, fixed).top, t), (base, t)
+            verdicts.add(got)
+        assert verdicts == {False, True}
+
+
+def test_verification_by_hierarchy_gives_the_report_of_its_top():
+    # A hierarchy decides samples on its base's membership game, its top
+    # by member_alt; the reports match, passing or failing.
+    outcomes = set()
+    for pair in example_pairs():
+        for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
+            level = pair.level or separator_level_bound(len(a.states), len(b.states))
+            hierarchy = build_hierarchy(a, level)
+            assert hierarchy.top == synthesize_separator(a, b, pair.level)
+            for sides in ((a, b), (b, a)):
+                report = verify_separation(hierarchy, *sides, 12, 9)
+                assert report == verify_separation(hierarchy.top, *sides, 12, 9), pair.name
+                outcomes.add(report.passed)
+    assert outcomes == {False, True}
