@@ -75,10 +75,8 @@ from .gamelang import (
 from .separation import (
     EmptyLanguage,
     NotDisjoint,
-    SeparatorHierarchy,
     report_to_json,
     sample_language,
-    separator_level_bound,
     synthesize_separator,
     verify_separation,
 )
@@ -177,14 +175,9 @@ def cmd_separate(args):
     b = _load_npta(args.b)
     if args.samples < 1:
         raise ValueError("sample count must be positive")
-    level = args.level
-    if level is None:
-        level = separator_level_bound(len(a.states), len(b.states))
-    separator = synthesize_separator(a, b, level)
-    # The hierarchy decides each sample on a's membership game.
-    report = verify_separation(SeparatorHierarchy(a, level, separator), a, b,
-                               args.samples, args.seed)
-    artifact = apta_to_json(separator)
+    separator = synthesize_separator(a, b, args.level)
+    report = verify_separation(separator, a, b, args.samples, args.seed)
+    artifact = apta_to_json(separator.top)
     return ({"separator": artifact, "report": report_to_json(report)},
             0 if report.passed else 1, artifact)
 

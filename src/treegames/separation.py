@@ -1,22 +1,23 @@
 """Separator synthesis for disjoint Büchi tree languages.
 
-The separator for T(a) versus T(b) is an alternating co-Büchi-shaped
-automaton built as a finite hierarchy over a's state set.  All levels
-0..N live in one APTA with states q@k, the state q of a running level k.
-Level 0 accepts the trees admitting any a-run at all (a pure safety check,
-every q@0 ranked 0).  Level n+1 re-runs a with its Büchi ranks, but
+The separator for T(a) versus T(b) is an alternating Büchi automaton built
+as a finite hierarchy over a's state set: ranks 0 on the absorbing level 0,
+a's {1, 2} above it.  All levels 0..N live in one APTA with states q@k, the
+state q of a running level k.  Level 0 accepts the trees admitting any a-run
+at all (a pure safety check).  Level n+1 re-runs a with its Büchi ranks, but
 whenever a branch passes through an accepting (rank 2) state p, it
 additionally launches p@n, the level-n check on the subtree there.  A
 winning run of a passes every such check, so level 1 already accepts
 exactly T(a), and so does every level above it; level k is
 build_hierarchy(a, k).top, the APTA on levels 0..k started at q0@k for a's
-initial state q0.  The level to synthesize at is 2^(|a| * |b|) + 1 by
-default, which is far more than the shipped examples need.
+initial state q0.  synthesize_separator returns the hierarchy up to level
+2^(|a| * |b|) + 1 by default, which is far more than the shipped examples
+need.
 
 T(a) always sits inside every level, so verification is sample-based on the
 b side: draw members of both languages and check the separator accepts the
-a-samples and rejects the b-samples.  A hierarchy decides each sample by one
-solve of a's membership game (SeparatorHierarchy.accepts), so checking a
+a-samples and rejects the b-samples.  The hierarchy decides each sample by
+one solve of a's membership game (SeparatorHierarchy.accepts), so checking a
 sample does not grow with the level; building and writing the separator do.
 """
 
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product
 
 from .trees import RegularTree, bisimilar, tree_to_json
-from .games import EVE, ParityGame, Strategy, _solve, verify_strategy
+from .games import EVE, Strategy, _solve, verify_strategy
 from .automata import (
     APTA,
     BINARY,
@@ -40,8 +40,7 @@ from .automata import (
     emptiness_game,
     intersection_product,
     is_buchi,
-    member_alt,
-    membership_game,
+    member,
     rename_automaton,
     strategy_tree,
     transition_formula,
@@ -95,7 +94,8 @@ class SeparatorHierarchy:
     a's initial state on level n.  Level k on its own is
     build_hierarchy(a, k).top.  accepts(t) is member_alt(top, t), decided
     on a's membership game without building top's acceptance game: its
-    cost does not grow with the level."""
+    cost does not grow with the level.  synthesize_separator returns one,
+    verify_separation decides by it, and the CLI writes its top."""
 
     base: NPTA
     level: int
@@ -117,10 +117,7 @@ def _level_accepts(a: NPTA, level: int, t: RegularTree) -> bool:
     B keeps every play in B, so it picks only transitions whose targets
     lie in B, and so in S_{n-1} once B does.  So B is S_n for every
     n >= 1: every level above 0 accepts exactly T(a)."""
-    game = membership_game(a, t)
-    prios = game.prios if level else [0] * len(game.prios)
-    win, _ = _solve(ParityGame._of((), game.owners, prios, game.succs))
-    return 0 in win[EVE]
+    return member(a if level else replace(a, rank=dict.fromkeys(a.rank, 0)), t)
 
 
 def build_hierarchy(a: NPTA, up_to: int) -> SeparatorHierarchy:
@@ -152,17 +149,21 @@ def disjointness_witness(a: NPTA, b: NPTA) -> RegularTree | None:
     return witness(intersection_product(a, b))
 
 
-def synthesize_separator(a: NPTA, b: NPTA, level: int | None = None) -> APTA:
-    """Separator for T(a) versus T(b): accepts everything in T(a), rejects
-    everything in T(b).  Raises NotDisjoint (with a witness tree) when the
-    languages overlap.  `level` overrides the default hierarchy height
-    separator_level_bound(|a|, |b|)."""
+def synthesize_separator(a: NPTA, b: NPTA,
+                         level: int | None = None) -> SeparatorHierarchy:
+    """Separator for T(a) versus T(b), as the hierarchy whose top accepts
+    everything in T(a) and rejects everything in T(b).  Raises ValueError
+    for a negative level before any product is built, and NotDisjoint
+    (with a witness tree) when the languages overlap.  `level` overrides
+    the default hierarchy height separator_level_bound(|a|, |b|)."""
+    if level is None:
+        level = separator_level_bound(len(a.states), len(b.states))
+    elif level < 0:
+        raise ValueError("level must be nonnegative")
     w = disjointness_witness(a, b)
     if w is not None:
         raise NotDisjoint(w)
-    if level is None:
-        level = separator_level_bound(len(a.states), len(b.states))
-    return build_hierarchy(a, level).top
+    return build_hierarchy(a, level)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +291,19 @@ class SeparationReport:
         return not self.failures
 
 
-def verify_separation(separator: APTA | SeparatorHierarchy, a: NPTA, b: NPTA,
+def verify_separation(separator: SeparatorHierarchy, a: NPTA, b: NPTA,
                       n: int, seed: int,
                       disjointness_checked: bool = False) -> SeparationReport:
-    """Sample both languages and check the separator's verdicts.  A
-    SeparatorHierarchy decides each sample by its accepts(t), on its base's
-    membership game; any other APTA by member_alt.  Both give the same
-    report.  Violations are recorded in the report, never raised."""
+    """Sample a with seed and b with seed + 1 and check the separator's
+    verdicts, each decided by separator.accepts(t) on its base's
+    membership game.  a and b need not be the pair it was synthesized for.
+    Violations are recorded in the report, never raised."""
     sample_a = sample_language(a, n, seed)
     sample_b = sample_language(b, n, seed + 1)
-    accepts = (separator.accepts if isinstance(separator, SeparatorHierarchy)
-               else partial(member_alt, separator))
     failures = []
     for side, sample, want in (("accept", sample_a, True), ("reject", sample_b, False)):
         for i, t in enumerate(sample.trees):
-            got = accepts(t)
+            got = separator.accepts(t)
             if got != want:
                 failures.append(SeparationFailure(side, i, want, got, t))
     return SeparationReport(

@@ -275,6 +275,9 @@ def test_separate_singletons(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["report"]["passed"] is True
     assert doc["report"]["seed"] == 0, "default seed is echoed"
+    # The default level is 2^(1*1)+1 = 3: states s@0..s@3, entered at s@3.
+    assert doc["separator"]["initial"] == "s@3"
+    assert len(doc["separator"]["states"]) == 4
     stored = json.loads(out_path.read_text())
     assert stored == doc["separator"]
 
@@ -367,6 +370,15 @@ def test_sample_and_separate_agree_on_a_bad_sample_count(tmp_path, capsys):
                  ("separate", "L", "L", "--samples", "0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "sample count must be positive" in err, (argv, err)
+
+
+def test_separate_checks_the_level_before_the_overlap(tmp_path, capsys):
+    # A negative level is a bad flag value, overlapping languages or not.
+    zero, one = singleton_file(tmp_path, "0"), singleton_file(tmp_path, "1")
+    for argv in (("separate", zero, one, "--level", "-1"),
+                 ("separate", "L", "L", "--level", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "level must be nonnegative" in err, (argv, err)
 
 
 def test_builtin_output_reparses(capsys):

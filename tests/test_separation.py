@@ -9,11 +9,9 @@ import pytest
 
 from treegames.trees import RegularTree, bisimilar, constant_tree, doc_text, tree_to_json
 from treegames.automata import (
-    APTA,
     BINARY,
     BUILTIN_NAMES,
     NPTA,
-    TRUE,
     acceptance_game,
     apta_to_json,
     builtin,
@@ -26,6 +24,8 @@ from treegames import separation
 from treegames.separation import (
     EmptyLanguage,
     NotDisjoint,
+    SeparationFailure,
+    SeparationReport,
     build_hierarchy,
     disjointness_witness,
     example_pairs,
@@ -148,13 +148,18 @@ def test_synthesis_refuses_overlap_with_witness():
     with pytest.raises(NotDisjoint) as info:
         synthesize_separator(a, a)
     assert member(a, info.value.tree)
+    # The level is checked before the product is built.
+    with pytest.raises(ValueError, match="level must be nonnegative") as info:
+        synthesize_separator(a, a, -1)
+    assert not isinstance(info.value, NotDisjoint)
 
 
 def test_synthesized_separator_separates_the_singletons():
     a, b = singleton("0"), singleton("1")
     separator = synthesize_separator(a, b)  # full bound: level 3
-    assert member_alt(separator, constant_tree(BINARY, "0"))
-    assert not member_alt(separator, constant_tree(BINARY, "1"))
+    assert separator == build_hierarchy(a, 3)
+    assert member_alt(separator.top, constant_tree(BINARY, "0"))
+    assert not member_alt(separator.top, constant_tree(BINARY, "1"))
 
 
 def test_sampling_is_deterministic_and_sound():
@@ -290,7 +295,8 @@ def test_verification_records_failures():
 def test_verification_samples_b_with_the_next_seed():
     # A separator that accepts everything fails on every b sample, so the
     # failures show which trees the b side checked.
-    accept_all = APTA(BINARY, ("s",), "s", {("s", "0"): TRUE, ("s", "1"): TRUE}, {"s": 0})
+    universal = NPTA(BINARY, ("s",), "s", (("s", "0", "s", "s"), ("s", "1", "s", "s")), {"s": 2})
+    accept_all = build_hierarchy(universal, 1)
     b = builtin("L")
     report = verify_separation(accept_all, singleton("0"), b, 3, 5)
     assert {f.side for f in report.failures} == {"reject"}
@@ -392,17 +398,32 @@ def test_level_65537_verdict_matches_a_buildable_level():
         assert verdicts == {False, True}
 
 
+def report_by_member_alt(top, a, b, n, seed):
+    """verify_separation's report with every sample decided by member_alt
+    on the APTA top."""
+    samples = (sample_language(a, n, seed), sample_language(b, n, seed + 1))
+    failures = []
+    for side, sample, want in zip(("accept", "reject"), samples, (True, False)):
+        for i, t in enumerate(sample.trees):
+            got = member_alt(top, t)
+            if got != want:
+                failures.append(SeparationFailure(side, i, want, got, t))
+    return SeparationReport(len(samples[0].trees), len(samples[1].trees),
+                            tuple(failures), False, n, seed)
+
+
 def test_verification_by_hierarchy_gives_the_report_of_its_top():
-    # A hierarchy decides samples on its base's membership game, its top
-    # by member_alt; the reports match, passing or failing.
+    # A hierarchy decides samples on its base's membership game; the
+    # report matches one decided on its top by member_alt, passing or
+    # failing.
     outcomes = set()
     for pair in example_pairs():
         for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
             level = pair.level or separator_level_bound(len(a.states), len(b.states))
             hierarchy = build_hierarchy(a, level)
-            assert hierarchy.top == synthesize_separator(a, b, pair.level)
+            assert hierarchy == synthesize_separator(a, b, pair.level)
             for sides in ((a, b), (b, a)):
                 report = verify_separation(hierarchy, *sides, 12, 9)
-                assert report == verify_separation(hierarchy.top, *sides, 12, 9), pair.name
+                assert report == report_by_member_alt(hierarchy.top, *sides, 12, 9), pair.name
                 outcomes.add(report.passed)
     assert outcomes == {False, True}
