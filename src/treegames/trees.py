@@ -322,11 +322,14 @@ def doc_text(doc) -> str:
     keys; any other value raises TypeError.  Two fast paths write a list of
     ints and a list of int pairs, most of a `solve` document, by one format
     call each, and any other list is written item by item; the path a list
-    takes changes cost, never the text.  A value the document holds in
-    several places, such as a formula sub-document that apta_to_json
-    shares, is written once per indent when its text is short (at most
-    512 characters, each kept until the call returns)."""
-    return _json_text(doc, "\n", {}) + "\n"
+    takes changes cost, never the text.  A list or dict the document holds
+    in several places, such as a formula sub-document that apta_to_json
+    shares, is written once per indent at any size; time and memory grow
+    with the length of the text."""
+    out = []
+    _write(doc, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 # json.dumps falls back to its pure-Python encoder when `indent` is set; this
@@ -334,26 +337,35 @@ def doc_text(doc) -> str:
 # (or to %d, which writes an exact int the same).
 _escape = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
-# The longest text _json_text's memo keeps until doc_text returns.  With no
-# limit it keeps the text of every value: 1.4 GB of texts for the 2.6 MB
-# text of a formula 400 And levels deep.  The values that separation
-# documents share are written in fewer characters.
-_MEMO_TEXT = 512
 
 
-def _json_text(v, nl, memo):
-    # v written at the indent that the line break `nl` carries.  Plain
-    # loops, not comprehensions, keep one frame per nesting level, so this
-    # writes documents as deep as json.dumps did.  `memo` maps (id(x), nl)
-    # to the text of each value x written so far inside v's document, up
-    # to _MEMO_TEXT characters long, so such a value that the document
-    # holds in several places is written once per indent; every x is held
-    # by the document, so no id is reused while doc_text runs.  The memo
-    # and its length test are cost-only switches: a value written again
-    # gets the same text.
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
+def _write(v, nl, out, memo):
+    # Appends to `out` the pieces of v's text at the indent that the line
+    # break `nl` carries.  Plain loops, not comprehensions, keep one frame
+    # per nesting level, as json.dumps does.  `memo` maps (id(x), nl) of
+    # each list, tuple or dict x written so far to the slice of `out`
+    # holding its pieces, which each repeat of x copies; every x is held by
+    # the document, so no id is reused while doc_text runs.  The memo is a
+    # cost-only switch: a repeat copies the pieces a write would append.
+    key = (id(v), nl)
+    span = memo.get(key)
+    if span is not None:
+        out += out[span]
+        return
+    start = len(out)
+    if isinstance(v, dict):
+        inner = nl + "  "
+        sep = "," + inner
+        before = "{" + inner
+        for k, x in sorted(v.items()):
+            if type(x) is str:
+                out.append(before + _escape(k) + ": " + _escape(x))
+            else:
+                out.append(before + _escape(k) + ": ")
+                _write(x, inner, out, memo)
+            before = sep
+        out.append(nl + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
         inner = nl + "  "
         sep = "," + inner
         # Two fast paths write a list of exact ints, or of 2-item lists or
@@ -362,56 +374,41 @@ def _json_text(v, nl, memo):
         # same text.  The first item's type is tested alone first, so a
         # list of dicts or strings pays one type() call, and the item types
         # before len, which an int item would not take.
-        kind = type(v[0])
+        kind = type(v[0]) if v else None
         if kind is int and set(map(type, v)) == {int}:
-            return "[" + inner + sep.join(["%d"] * len(v)) % tuple(v) + nl + "]"
-        if (kind in (list, tuple) and set(map(type, v)) <= {list, tuple}
-                and set(map(len, v)) == {2}):
-            flat = tuple(itertools.chain.from_iterable(v))
-            if set(map(type, flat)) == {int}:
-                pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-                return "[" + inner + sep.join([pair] * len(v)) % flat + nl + "]"
-        items = []
-        for x in v:
-            if type(x) is int:
-                text = _int_text(x)
-            else:
-                key = (id(x), inner)
-                text = memo.get(key)
-                if text is None:
-                    text = _json_text(x, inner, memo)
-                    if len(text) <= _MEMO_TEXT:
-                        memo[key] = text
-            items.append(text)
-        return "[" + inner + sep.join(items) + nl + "]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = nl + "  "
-        items = []
-        for k, x in sorted(v.items()):
-            if type(x) is str:
-                text = _escape(x)
-            else:
-                key = (id(x), inner)
-                text = memo.get(key)
-                if text is None:
-                    text = _json_text(x, inner, memo)
-                    if len(text) <= _MEMO_TEXT:
-                        memo[key] = text
-            items.append(_escape(k) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(v, str):
-        return _escape(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return _int_text(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+            out.append("[" + inner + sep.join(["%d"] * len(v)) % tuple(v) + nl + "]")
+        elif (kind in (list, tuple) and set(map(type, v)) <= {list, tuple}
+                and set(map(len, v)) == {2}
+                and set(map(type, flat := tuple(itertools.chain.from_iterable(v)))) == {int}):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            out.append("[" + inner + sep.join([pair] * len(v)) % flat + nl + "]")
+        else:
+            before = "[" + inner
+            for x in v:
+                out.append(before)
+                before = sep
+                if type(x) is int:
+                    out.append(_int_text(x))
+                else:
+                    _write(x, inner, out, memo)
+            out.append(nl + "]" if v else "[]")
+    else:
+        # A scalar is one piece: a memo slice for it would save nothing.
+        if isinstance(v, str):
+            text = _escape(v)
+        elif v is None:
+            text = "null"
+        elif v is True:
+            text = "true"
+        elif v is False:
+            text = "false"
+        elif isinstance(v, int):
+            text = _int_text(v)
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        out.append(text)
+        return
+    memo[key] = slice(start, len(out))
 
 
 def doc_field(doc, key, kinds, what, error):

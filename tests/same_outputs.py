@@ -1,14 +1,20 @@
-"""Check that two source trees print the same on every benchmark op.
+"""Check that two source trees print the same on every document command.
 
     python tests/same_outputs.py BEFORE AFTER
 
 BEFORE and AFTER are checkouts of this repository.  The inputs and ops of
 the four benchmark workloads at seeds 1-3 are built once, full size, by
 BEFORE's `bench/inputs.build_ops` and `treegames`, into one temporary
-directory, so both sides read the same files.  Each side then runs every op
-through its own `treegames.cli.main` in a process of its own.  Every op
-whose exit code, stdout or stderr differs is printed, and the script exits
-1 if any does, 0 otherwise.  pytest does not collect this file.
+directory, so both sides read the same files.  To them are added ops of
+the commands the benchmark does not run: `member-alt` on each `member`
+op, `dual --tree`, `distance` to the tree before and `reduce` by a seeded
+random Borel code (`tests/helpers.random_code`) on each `gtl` op's tree,
+whose alphabet is the game alphabet, `separate --level 2` on each
+`separate` op's pair, and `builtin`, `empty` and `sample` on each builtin
+automaton.  Each side then runs every op through its own
+`treegames.cli.main` in a process of its own.  Every op whose exit code,
+stdout or stderr differs is printed, and the script exits 1 if any does,
+0 otherwise.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -25,8 +32,9 @@ SEEDS = (1, 2, 3)
 
 
 def import_from(root: str, name: str):
-    """Module `name` imported from root's src/ (or bench/ for bench modules)."""
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    """Module `name` imported from root's src/ (or bench/ or tests/ for
+    bench and test modules)."""
+    sys.path[:0] = [os.path.join(root, d) for d in ("src", "bench", "tests")]
     module = __import__(name)
     if not os.path.abspath(module.__file__).startswith(os.path.abspath(root) + os.sep):
         sys.exit(f"{name} was imported from {module.__file__}, not from {root}")
@@ -35,14 +43,36 @@ def import_from(root: str, name: str):
 
 def build_ops(root: str, workdir: str) -> list:
     """(label, argv) of every op, its inputs written into `workdir`."""
-    tg, inputs = import_from(root, "treegames"), import_from(root, "inputs")
+    tg, inputs, helpers = (import_from(root, name) for name in ("treegames", "inputs", "helpers"))
     ops = []
     for workload in inputs.WORKLOADS:
         for seed in SEEDS:
             folder = os.path.join(workdir, f"{workload}-{seed}")
             os.mkdir(folder)
+            rng, tree_before = random.Random(seed), None
             for op in inputs.build_ops(tg, workload, seed, folder):
-                ops.append((f"{workload} seed {seed} {op.key}", list(op.argv)))
+                label, argv = f"{workload} seed {seed} {op.key}", list(op.argv)
+                ops.append((label, argv))
+                more = []
+                if argv[0] == "member":
+                    more = [("member-alt", ["member-alt", *argv[1:]])]
+                elif argv[0] == "gtl":
+                    tree = argv[-1]
+                    code = os.path.join(folder, f"code-{op.key}.json")
+                    with open(code, "w") as handle:
+                        json.dump(tg.code_to_json(helpers.random_code(rng, 3)), handle)
+                    more = [("dual", ["dual", "--tree", tree]),
+                            ("reduce", ["reduce", "--code", code, "--tree", tree]),
+                            ("distance", ["distance", tree_before or tree, tree])]
+                    tree_before = tree
+                elif argv[0] == "separate":
+                    more = [("--level 2", argv + ["--level", "2"])]
+                ops += [(f"{label} {suffix}", more_argv) for suffix, more_argv in more]
+    for name in tg.BUILTIN_NAMES:
+        ops += [(f"builtin {name}", ["builtin", name]),
+                (f"empty {name}", ["empty", "--automaton", name])]
+        ops += [(f"sample {name} seed {seed}",
+                 ["sample", "--automaton", name, "--seed", str(seed)]) for seed in SEEDS]
     return ops
 
 

@@ -6,13 +6,16 @@ import json
 import os
 import random
 import re
-from collections import OrderedDict
+import sys
+import tracemalloc
+from collections import Counter, OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
 from treegames import trees
+from treegames.automata import And, Atom, formula_to_json
 from treegames.trees import (
     Alphabet,
     LetterRenaming,
@@ -472,7 +475,7 @@ def test_doc_text_writes_int_and_pair_lists_in_one_call(monkeypatch):
     # The fast paths' guards choose a cost, never a result, so only counting
     # the writer's calls shows a guard that sends one of these lists to the
     # item loop.
-    calls = {"_json_text": 0, "_int_text": 0}
+    calls = {"_write": 0, "_int_text": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(trees, name)):
             calls[_name] += 1
@@ -482,32 +485,70 @@ def test_doc_text_writes_int_and_pair_lists_in_one_call(monkeypatch):
     assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # The document and its three lists; the item loop would add a call per
     # pair and per int.
-    assert calls == {"_json_text": 4, "_int_text": 0}
+    assert calls == {"_write": 4, "_int_text": 0}
 
 
-def test_doc_text_writes_a_short_shared_value_once_per_indent(monkeypatch):
-    # The memo and its length limit change cost, never the text, so only
-    # counting the writer's calls shows that a value held in several places
-    # is written once per indent when its text is short enough to keep.
-    def sized(n):
-        # A dict written in n characters as an item of a top-level list or
-        # a value of a top-level dict.
-        return {"s": "x" * (n - len(trees._json_text({"s": ""}, "\n    ", {})))}
-
+def test_doc_text_writes_a_shared_value_once_per_indent(monkeypatch):
+    # The memo changes cost, never the text, so only counting the strings
+    # the writer escapes shows that a list or dict the document holds in
+    # several places is written once per indent, whatever its length.
     shared = {"op": "atom", "state": "q"}
     equal = dict(shared)
-    fits, over = sized(trees._MEMO_TEXT), sized(trees._MEMO_TEXT + 1)
-    fits_in, over_in = sized(trees._MEMO_TEXT), sized(trees._MEMO_TEXT + 1)
+    long = {"s": "x" * 600}
+    names = [f"n{i}" for i in range(100)]
     doc = {"three": [shared, shared, shared], "once_more": shared, "equal": [equal, equal],
-           "fits": [fits, fits], "over": [over, over],
-           "fits_in": {"a": fits_in, "b": fits_in}, "over_in": {"a": over_in, "b": over_in}}
-    calls = []
-    write = trees._json_text
-    monkeypatch.setattr(trees, "_json_text", lambda *args: calls.append(args[0]) or write(*args))
+           "long": [long, long], "long_in": {"a": long, "b": long}, "names": [names, names]}
+    escaped = Counter()
+    escape = trees._escape
+    monkeypatch.setattr(trees, "_escape", lambda s: escaped.update([s]) or escape(s))
     assert doc_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    # The document and its six containers, `shared` at two indents, and
-    # `equal`, an equal dict of its own, and the two that fit at one; those
-    # one character over the limit are written at each place.
-    containers = [doc] + [doc[k] for k in ("three", "equal", "fits", "over", "fits_in", "over_in")]
-    assert sorted(map(id, calls)) == sorted(map(id, containers + [
-        shared, shared, equal, fits, fits_in, over, over, over_in, over_in]))
+    # `shared` at its two indents and `equal`, an equal dict of its own, at
+    # one; `long` and `names`, each over 600 characters, at one indent.
+    assert [escaped[s] for s in ("atom", "x" * 600, "n0")] == [3, 1, 1]
+
+
+def test_doc_text_writes_as_deep_as_json_dumps():
+    # Each nesting level costs the writer one frame, as it costs json.dumps
+    # one generator, so a list json.dumps can write at the current
+    # recursion limit is one doc_text can write.
+    def nested(depth):
+        doc = []
+        for _ in range(depth):
+            doc = [doc]
+        return doc
+
+    def dumps(depth):
+        try:
+            return json.dumps(nested(depth), indent=2, sort_keys=True)
+        except RecursionError:
+            return None
+
+    # json.dumps writes `depth` levels and not `too_deep`.
+    depth, too_deep = 1, sys.getrecursionlimit()
+    while too_deep - depth > 1:
+        middle = (depth + too_deep) // 2
+        if dumps(middle) is None:
+            too_deep = middle
+        else:
+            depth = middle
+    text = dumps(depth)
+    assert depth > sys.getrecursionlimit() * 3 // 4
+    assert doc_text(nested(depth)) == text + "\n"
+
+
+def test_doc_text_peak_memory_is_linear_in_the_text():
+    # A formula 400 And levels deep: a writer that copies each subtree's
+    # text at every level above it peaks at about 4 times the 3.2 MB text
+    # (and takes seconds); one that appends pieces to one list at about 2.
+    f = Atom("1", "q")
+    for i in range(400):
+        f = And((f, Atom("2", f"q{i}")))
+    doc = formula_to_json(f)
+    tracemalloc.start()
+    try:
+        text = doc_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3_000_000
+    assert peak < 3 * len(text)
