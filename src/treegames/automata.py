@@ -34,7 +34,7 @@ from .trees import (
     same_symbols,
     _too_many_digits,
 )
-from .games import (EVE, ADAM, ParityGame, Strategy, _check_labels, _named, _solve, explore,
+from .games import (EVE, ADAM, ParityGame, Strategy, _named, _solve, explore,
                     verify_strategy)
 
 
@@ -173,8 +173,7 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
     # position's one predecessor is its state position, so the block gets
     # the next ids when that is expanded, and only state keys are looked up.
     start = state_id[a.initial] * n
-    ids = [None] * (m * n)
-    ids[start] = 0
+    add = {start: 0}.setdefault
     queue = [start]
     count = 1
     owners, prios, succs = [], [], []
@@ -192,15 +191,13 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
         left, right = lefts[v], rights[v]
         for k in moves[q][labels[v]]:
             w = to_left[k] + left
-            i = ids[w]
-            if i is None:
-                i = ids[w] = count
+            i = add(w, count)
+            if i == count:
                 count += 1
                 queue.append(w)
             w = to_right[k] + right
-            j = ids[w]
-            if j is None:
-                j = ids[w] = count
+            j = add(w, count)
+            if j == count:
                 count += 1
                 queue.append(w)
             owners.append(ADAM)
@@ -215,7 +212,6 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
             else:
                 yield from (("t", trans[k], nodes[v]) for k in moves[q - m][labels[v]])
 
-    _check_labels(names(), owners, prios)
     return ParityGame._of(names, owners, prios, succs)
 
 

@@ -93,7 +93,10 @@ class ParityGame:
         owners, prios, succs = [], [], []
         for v in positions:
             o, p = owner.get(v), priority.get(v)
-            _check_labels((v,), (o,), (p,))
+            if o not in (EVE, ADAM):
+                raise GameError(f"position {v!r}: owner must be 0 (Eve) or 1 (Adam)")
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+                raise GameError(f"position {v!r}: priority must be a nonnegative integer")
             names = successors.get(v)
             if names is None:
                 raise GameError(f"position {v!r}: no successor list")
@@ -144,19 +147,6 @@ class ParityGame:
             {v: tuple(names[j] for j in s) for v, s in zip(names, self.succs)})
 
 
-def _check_labels(positions, owners, prios):
-    # The counts and type set test every label in C; the loop only runs to
-    # name the first bad position.
-    if (owners.count(EVE) + owners.count(ADAM) == len(owners)
-            and set(map(type, prios)) <= {int} and min(prios, default=0) >= 0):
-        return
-    for v, o, p in zip(positions, owners, prios):
-        if o not in (EVE, ADAM):
-            raise GameError(f"position {v!r}: owner must be 0 (Eve) or 1 (Adam)")
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise GameError(f"position {v!r}: priority must be a nonnegative integer")
-
-
 def _ids(v, names, index):
     # Successor names of position v as ids.
     ids = tuple(map(index.get, names))
@@ -171,7 +161,8 @@ def explore(start, expand) -> ParityGame:
     discovery order.  Games on automata are built by it; games on a
     tree's generator are read off it, its nodes already in this order.
 
-    expand(pos) returns (owner, priority, successors)."""
+    expand(pos) returns (owner, priority, successors), which are trusted:
+    owner EVE or ADAM, priority a nonnegative int."""
     positions = [start]
     index = {start: 0}
     # One hash per edge: a name not seen yet gets the next id.
@@ -188,7 +179,6 @@ def explore(start, expand) -> ParityGame:
                 positions.append(nxt)
             ids.append(i)
         succs.append(tuple(ids))
-    _check_labels(positions, owners, prios)
     return ParityGame._of(positions, owners, prios, succs)
 
 
@@ -484,6 +474,8 @@ def verify_strategy(g: ParityGame, strategy: Strategy, region, diagnostics=None)
         return False
 
     player = strategy.player
+    if player not in (EVE, ADAM):
+        return fail("player must be 0 (Eve) or 1 (Adam)")
     names, index, succs = g.positions, g.index, g.succs
     ids = set()
     for v in set(region):

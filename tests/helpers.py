@@ -194,6 +194,13 @@ def odd_dominated_cycle(nodes, succ, rank, parity=1) -> bool:
     return False
 
 
+def peel_chain(n: int) -> ParityGame:
+    """Position i has priority i, owner (i+1) mod 2 and edges to i-1 and i:
+    Zielonka's algorithm peels one position per priority."""
+    return ParityGame(range(n), {i: (i + 1) % 2 for i in range(n)}, {i: i for i in range(n)},
+                      {i: (i - 1, i) if i else (0,) for i in range(n)})
+
+
 def successor_names(g: ParityGame) -> dict:
     """Each position's successor names, read off the id arrays."""
     names = g.positions

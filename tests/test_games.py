@@ -44,6 +44,7 @@ from helpers import (
     digits_past_int_limit,
     game_from_text_by_lines,
     odd_dominated_cycle,
+    peel_chain,
     random_game,
     random_npta,
     random_regular_tree,
@@ -130,12 +131,6 @@ def test_solver_strategies_verify():
         ok = (verify_strategy(g, res.eve_strategy, res.eve_region, notes)
               and verify_strategy(g, res.adam_strategy, res.adam_region, notes))
         assert ok, (trial, g, notes)
-
-
-def peel_chain(n):
-    # Position i has priority i, owner (i+1) mod 2 and edges to i-1 and i.
-    return game({i: (i + 1) % 2 for i in range(n)}, {i: i for i in range(n)},
-                {i: (i - 1, i) if i else (0,) for i in range(n)})
 
 
 def assert_solves_like_reference(g, note):
@@ -273,10 +268,23 @@ def test_verify_rejects_bad_strategies():
         (Strategy(EVE, {}), {0}, "0: no move chosen"),
         (Strategy(EVE, {0: 7}), {0}, "0: chosen move 7 is not an edge"),
         (Strategy(ADAM, {}), {0}, "0: opponent can leave the region via 1"),
+        (Strategy(ADAM, {}), {0, 1}, "cycle with unfavorable maximal priority"),
     ):
         notes = []
         assert not verify_strategy(g, strategy, region, notes)
         assert notes == [reason]
+
+
+def test_verify_rejects_a_player_that_is_neither_eve_nor_adam():
+    # Adam's odd self-loop: Eve loses it, and a player 1 - player would
+    # make an opponent of no parity, for whom no cycle is unfavorable.
+    g = game({0: ADAM}, {0: 1}, {0: (0,)})
+    assert not verify_strategy(g, Strategy(EVE, {}), {0})
+    assert verify_strategy(g, Strategy(ADAM, {0: 0}), {0})
+    for player in (2, -1, None):
+        notes = []
+        assert not verify_strategy(g, Strategy(player, {}), {0}, notes)
+        assert notes == ["player must be 0 (Eve) or 1 (Adam)"]
 
 
 def test_verify_rejects_owned_dead_end_in_region():
@@ -312,12 +320,29 @@ def test_nested_scc_cycle_check_matches_per_priority_oracle():
 
 
 def test_game_construction_validation():
-    with pytest.raises(GameError):
-        game({0: 2}, {0: 0}, {0: ()})  # bad owner
-    with pytest.raises(GameError):
-        game({0: EVE}, {0: -1}, {0: ()})  # negative priority
-    with pytest.raises(GameError):
-        game({0: EVE}, {0: True}, {0: ()})  # boolean priority
+    owner_message = "position {!r}: owner must be 0 (Eve) or 1 (Adam)"
+    priority_message = "position {!r}: priority must be a nonnegative integer"
+    for owner, prio, message in (
+        ({0: 2}, {0: 0}, owner_message),
+        ({0: None}, {0: 0}, owner_message),
+        ({0: EVE}, {0: -1}, priority_message),
+        ({0: EVE}, {0: True}, priority_message),
+        ({0: EVE}, {0: 1.0}, priority_message),
+        ({0: EVE}, {}, priority_message),
+    ):
+        with pytest.raises(GameError) as exc:
+            game(owner, prio, {0: ()})
+        assert str(exc.value) == message.format(0)
+    # Labels are checked in position order, owner before priority.
+    succ = {"r": ("a",), "a": ("b",), "b": ("c",), "c": ("r",)}
+    for owner, prio, message in (
+        ({"b": 2, "c": 7}, {"c": -1}, owner_message.format("b")),
+        ({"c": -1}, {"a": True, "b": -3}, priority_message.format("a")),
+    ):
+        with pytest.raises(GameError) as exc:
+            ParityGame(("r", "a", "b", "c"), {v: owner.get(v, EVE) for v in succ},
+                       {v: prio.get(v, 0) for v in succ}, succ)
+        assert str(exc.value) == message
     with pytest.raises(GameError):
         game({0: EVE}, {0: 0}, {0: (1,)})  # unknown successor
     with pytest.raises(GameError, match="duplicate positions"):
@@ -326,19 +351,7 @@ def test_game_construction_validation():
         ParityGame((0,), {0: EVE}, {0: 0}, {})
 
 
-def test_explore_and_parse_name_the_first_bad_position():
-    # Labels are checked in breadth-first order, owner before priority.
-    succ = {"r": ("a", "b"), "a": ("c",), "b": ("r",), "c": ()}
-    cases = (
-        (lambda v: ({"b": 2, "c": 7}.get(v, EVE), {"c": -1}.get(v, 0), succ[v]),
-         "position 'b': owner must be 0 (Eve) or 1 (Adam)"),
-        (lambda v: (EVE, {"a": True, "b": -3}.get(v, 1), succ[v]),
-         "position 'a': priority must be a nonnegative integer"),
-    )
-    for expand, message in cases:
-        with pytest.raises(GameError) as exc:
-            explore("r", expand)
-        assert str(exc.value) == message
+def test_parse_names_the_bad_successor():
     with pytest.raises(GameError) as exc:
         game_from_text("parity 1;\n0 1 0 0,5;\n")
     assert str(exc.value) == "inconsistent game: position 0: successor 5 is not a position"
