@@ -378,6 +378,16 @@ class _Junction(Formula):
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
+    def __hash__(self):
+        # Kept, as acceptance_game hashes a position ("f", q, v, f) at every
+        # lookup; __reduce__ leaves it out of pickles, for other hash seeds.
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(self.parts))
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
 
 class And(_Junction):
     """Conjunction of its parts; Adam picks one.  TRUE has no parts."""
@@ -389,14 +399,6 @@ class Or(_Junction):
 
 TRUE = And(())
 FALSE = Or(())
-
-
-def _formula_states(f: Formula):
-    if isinstance(f, Atom):
-        yield f.state
-    elif isinstance(f, _Junction):
-        for part in f.parts:
-            yield from _formula_states(part)
 
 
 @dataclass(frozen=True)
@@ -416,11 +418,16 @@ class APTA:
         if set(self.delta) != expected:
             raise AutomatonError("delta must be total on states x alphabet")
         for key, f in self.delta.items():
-            if not isinstance(f, Formula):
-                raise AutomatonError(f"delta{key!r} is not a formula")
-            for q in _formula_states(f):
-                if q not in states:
-                    raise AutomatonError(f"delta{key!r} mentions unknown state {q!r}")
+            # Parts pushed in reverse are checked in order, at any depth.
+            todo = [f]
+            while todo:
+                f = todo.pop()
+                if isinstance(f, _Junction):
+                    todo += reversed(f.parts)
+                elif not isinstance(f, Atom):
+                    raise AutomatonError(f"delta{key!r} is not a formula")
+                elif f.state not in states:
+                    raise AutomatonError(f"delta{key!r} mentions unknown state {f.state!r}")
         object.__setattr__(self, "delta", dict(self.delta))
 
 

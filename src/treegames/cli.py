@@ -11,11 +11,12 @@ prints one JSON document to stdout, and exits with:
 
 `-o FILE` additionally writes the command's artifact to FILE: the printed
 document, or `reduce`'s tree or `separate`'s separator alone.  One loop at
-the end of the argument parser gives `-o` to every document command.  A command
-returns its document and exit code (and that artifact), and `main` alone
-prints and writes them.  `play` is the one interactive command: a human
-plays one side of the tree game against the solver's strategy until the
-play closes a cycle, and it prints its own transcript.
+the end of the argument parser gives `-o` to every command but `play`.  A
+command returns its document and exit code (and that artifact), and `main`
+alone prints and writes them.  `play` is the one interactive command: a
+human plays one side of the tree game against the solver's strategy until
+the play closes a cycle.  Its prompts print as the play runs, and its
+document is the play's transcript.
 
 A command runs with the cyclic garbage collector paused, because the
 library makes no reference cycles; tests/test_fuzz.py checks that.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -215,7 +215,7 @@ def cmd_distance(args):
     return {"distance": str(d), "bisimilar": d == 0}, 0
 
 
-def cmd_play(args) -> int:
+def cmd_play(args):
     t = load_tree(args.tree)
     g = game_of_tree(t)
     human = EVE if args.side == "eve" else ADAM
@@ -239,9 +239,7 @@ def cmd_play(args) -> int:
                     raw = input(f"at {v} [{label}] your move (1/2): ").strip()
                 except EOFError:
                     print()
-                    print(json.dumps({"transcript": [names[i] for i in path], "verdict": None},
-                                     sort_keys=True))
-                    return 2
+                    return {"transcript": [names[i] for i in path], "verdict": None}, 2
                 if raw == "1":
                     move = succ[0]
                 elif raw == "2":
@@ -258,11 +256,10 @@ def cmd_play(args) -> int:
             top = max(g.prios[i] for i in cycle)
             verdict = "eve" if top % 2 == 0 else "adam"
             print()
-            print(json.dumps({"transcript": [names[i] for i in path + [current]],
-                              "cycle": [names[i] for i in cycle],
-                              "cycle_max_priority": top,
-                              "verdict": verdict}, sort_keys=True))
-            return 0
+            return {"transcript": [names[i] for i in path + [current]],
+                    "cycle": [names[i] for i in cycle],
+                    "cycle_max_priority": top,
+                    "verdict": verdict}, 0
         seen[current] = len(path)
         path.append(current)
 
@@ -331,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("play", help="play the tree game against the solver")
     p.add_argument("--tree", required=True, metavar="FILE")
     p.add_argument("--as", dest="side", choices=("eve", "adam"), required=True)
+    p.set_defaults(func=cmd_play, output=None)
 
     p = sub.add_parser("sample", help="sample distinct members of a language")
     automaton_flag(p)
@@ -364,8 +362,6 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "play":
-            return cmd_play(args)
         doc, code, *artifact = args.func(args)
         _emit(doc, args.output, *artifact)
         return code

@@ -93,7 +93,7 @@ class ParityGame:
         owners, prios, succs = [], [], []
         for v in positions:
             o, p = owner.get(v), priority.get(v)
-            if o not in (EVE, ADAM):
+            if type(o) is not int or o not in (EVE, ADAM):
                 raise GameError(f"position {v!r}: owner must be 0 (Eve) or 1 (Adam)")
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise GameError(f"position {v!r}: priority must be a nonnegative integer")
@@ -199,7 +199,7 @@ class SolveResult:
     adam_strategy: Strategy
 
 
-def _attract(player, attr, rest, owner, succ, pred, todo=None):
+def _attract(player, attr, rest, owner, succ, pred):
     # Grows `attr` in place to its attractor for `player` inside the region
     # attr | rest, moving each position it pulls in out of `rest`, and
     # returns the moves that pulled in player-owned positions.  The queue is
@@ -210,9 +210,7 @@ def _attract(player, attr, rest, owner, succ, pred, todo=None):
     # them in, id), which is the order the walk over the targets gives.
     # The test `4 * len(rest) < len(attr)` is a cost-only switch: either
     # side gives the same attractor and moves, so changing its factor or
-    # comparison changes no result.  So is `todo`, sorted(attr) as a list
-    # the walk may append to, passed by a caller that has sorted it already;
-    # the scan of `rest` ignores it.
+    # comparison changes no result.
     strat, counts = {}, {}
     if 4 * len(rest) < len(attr):
         first = []
@@ -232,7 +230,7 @@ def _attract(player, attr, rest, owner, succ, pred, todo=None):
         todo = [v for _, v in first]
         strat = {v: u for u, v in first if owner[v] == player}
         attr.update(todo)
-    elif todo is None:
+    else:
         todo = sorted(attr)
     for u in todo:
         for v in pred[u]:
@@ -299,7 +297,7 @@ def _zielonka(m, owner, prio, succ, pred):
             a = region.intersection(bucket[d])
             tops = sorted(a)
             region -= a
-            astrat = _attract(sigma, a, region, owner, succ, pred, tops[:])
+            astrat = _attract(sigma, a, region, owner, succ, pred)
             stack.append((a, k, win, strat, sigma, tops, astrat))
             k += 1
             win, strat = [set(), set()], [{}, {}]

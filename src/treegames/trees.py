@@ -387,10 +387,7 @@ def _write(v, nl, out, memo):
             for x in v:
                 out.append(before)
                 before = sep
-                if type(x) is int:
-                    out.append(_int_text(x))
-                else:
-                    _write(x, inner, out, memo)
+                _write(x, inner, out, memo)
             out.append(nl + "]" if v else "[]")
     else:
         # A scalar is one piece: a memo slice for it would save nothing.

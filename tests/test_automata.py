@@ -495,11 +495,14 @@ def test_formula_validation():
 def test_apta_validation():
     with pytest.raises(AutomatonError):
         APTA(BINARY, ("q",), "q", {("q", "0"): TRUE}, {"q": 0})  # delta partial
-    delta = {("q", "0"): Atom("1", "zz"), ("q", "1"): TRUE}
-    with pytest.raises(AutomatonError):
-        APTA(BINARY, ("q",), "q", delta, {"q": 0})  # formula names unknown state
-    with pytest.raises(AutomatonError, match="is not a formula"):
-        APTA(BINARY, ("q",), "q", {("q", "0"): TRUE, ("q", "1"): True}, {"q": 0})
+    # Every part is checked, at any depth, and the first unknown state in
+    # part order is named; a part that is not a formula would crash member_alt.
+    f = And((Or((Atom("1", "q"), Atom("2", "a"))), Atom("1", "b")))
+    with pytest.raises(AutomatonError, match="unknown state 'a'$"):
+        APTA(BINARY, ("q",), "q", {("q", "0"): f, ("q", "1"): TRUE}, {"q": 0})
+    for bad in (True, And(("x",)), Or((Atom("1", "q"), 5)), And((Or((None,)),))):
+        with pytest.raises(AutomatonError, match=r"^delta\('q', '1'\) is not a formula$"):
+            APTA(BINARY, ("q",), "q", {("q", "0"): TRUE, ("q", "1"): bad}, {"q": 0})
     # The header checks NPTA makes too.
     always = {("q", "0"): TRUE, ("q", "1"): TRUE}
     good = apta_to_json(APTA(BINARY, ("q",), "q", always, {"q": 0}))
@@ -628,6 +631,23 @@ def test_equal_formulas_hash_equal():
     setup = ('from treegames.automata import And, Atom, Or, TRUE; '
              'f = Or((And((Atom("1", "p"), Atom("2", "q"))), Atom("2", "r"), TRUE)); ')
     dump = setup + "import pickle, sys; sys.stdout.write(pickle.dumps(f).hex())"
+    load = setup + ("import pickle, sys; "
+                    "assert pickle.loads(bytes.fromhex(sys.stdin.read())) in {f}")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = subprocess.run([sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="0"),
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+    subprocess.run([sys.executable, "-c", load], env=dict(env, PYTHONHASHSEED="1"),
+                   input=data, text=True, check=True, timeout=60)
+
+
+def test_a_formula_hashed_before_pickling_hashes_afresh_when_unpickled():
+    # A formula keeps its hash once computed, but not in a pickle: read back
+    # under another string hash seed, it is found in a set of one built there.
+    setup = ('from treegames.automata import And, Atom, Or; '
+             'f = Or((And((Atom("1", "p"), Atom("2", "q"))), Atom("2", "r"))); ')
+    dump = setup + "import pickle, sys; hash(f); sys.stdout.write(pickle.dumps(f).hex())"
     load = setup + ("import pickle, sys; "
                     "assert pickle.loads(bytes.fromhex(sys.stdin.read())) in {f}")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -468,12 +468,19 @@ def feed(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
+def transcript(out):
+    # The document main prints after the prompts, in the one document format.
+    doc = json.loads(out[out.index("\n{\n"):])
+    assert out.endswith("\n" + doc_text(doc))
+    return doc
+
+
 def test_play_adam_loses_his_own_constant(tmp_path, capsys, monkeypatch):
     path = write_tree(tmp_path, "a1.json", ALL_FORALL_ONE)
     feed(monkeypatch, "1\n1\n1\n")
     code, out, _ = run(capsys, "play", "--tree", path, "--as", "adam")
     assert code == 0
-    verdict = json.loads(out.strip().splitlines()[-1])
+    verdict = transcript(out)
     assert verdict["verdict"] == "adam"
     assert verdict["cycle_max_priority"] == 1
 
@@ -483,7 +490,7 @@ def test_play_eve_wins_her_constant(tmp_path, capsys, monkeypatch):
     feed(monkeypatch, "2\n2\n")
     code, out, _ = run(capsys, "play", "--tree", path, "--as", "eve")
     assert code == 0
-    verdict = json.loads(out.strip().splitlines()[-1])
+    verdict = transcript(out)
     assert verdict["verdict"] == "eve"
 
 
@@ -500,7 +507,7 @@ def test_play_eof_dumps_transcript(tmp_path, capsys, monkeypatch):
     feed(monkeypatch, "")
     code, out, _ = run(capsys, "play", "--tree", path, "--as", "eve")
     assert code == 2
-    assert json.loads(out.strip().splitlines()[-1])["verdict"] is None
+    assert transcript(out)["verdict"] is None
 
 
 def test_play_engine_turns_left_when_it_must(tmp_path, capsys, monkeypatch):
@@ -517,7 +524,7 @@ def test_play_engine_turns_left_when_it_must(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "play", "--tree", path, "--as", "adam")
     assert code == 0
     assert "engine moves 1" in out
-    assert json.loads(out.strip().splitlines()[-1])["verdict"] == "eve"
+    assert transcript(out)["verdict"] == "eve"
 
 
 # ---------------------------------------------------------------------------

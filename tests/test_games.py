@@ -325,6 +325,9 @@ def test_game_construction_validation():
     for owner, prio, message in (
         ({0: 2}, {0: 0}, owner_message),
         ({0: None}, {0: 0}, owner_message),
+        ({0: True}, {0: 0}, owner_message),  # equal to 1, but not written as 1
+        ({0: 1.0}, {0: 0}, owner_message),
+        ({0: 0.0}, {0: 0}, owner_message),
         ({0: EVE}, {0: -1}, priority_message),
         ({0: EVE}, {0: True}, priority_message),
         ({0: EVE}, {0: 1.0}, priority_message),

@@ -9,11 +9,26 @@ import gc
 import random
 import time
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
 from treegames import games
-from treegames.automata import BINARY, NPTA, builtin, member, membership_game
+from treegames.automata import (
+    APTA,
+    BINARY,
+    GAME_ALPHABET,
+    NPTA,
+    And,
+    Atom,
+    Or,
+    acceptance_game,
+    builtin,
+    member,
+    membership_game,
+    witness,
+)
+from treegames.gamelang import game_of_tree
 from treegames.games import (
     ADAM,
     ParityGame,
@@ -23,16 +38,16 @@ from treegames.games import (
     solve,
     verify_strategy,
 )
-from treegames.trees import RegularTree
+from treegames.trees import RegularTree, tree_from_json, tree_to_json
 
 from helpers import peel_chain
 
 
-def binary_tree(n, seed=0):
+def binary_tree(n, seed=0, alphabet=BINARY):
     # Node i has children 2i+1 and 2i+2 modulo n, so every node is reached;
-    # labels are seeded random bits.
+    # labels are drawn from the alphabet by a seeded generator.
     rng = random.Random(seed)
-    return RegularTree(BINARY, 0, {i: rng.choice("01") for i in range(n)},
+    return RegularTree(alphabet, 0, {i: rng.choice(alphabet.symbols) for i in range(n)},
                        {i: (2 * i + 1) % n for i in range(n)},
                        {i: (2 * i + 2) % n for i in range(n)})
 
@@ -101,6 +116,77 @@ def test_game_text_parse_time_grows_linearly():
 def test_member_time_grows_linearly_in_the_tree():
     a = builtin("L")
     assert time_growth(lambda t: member(a, t), binary_tree, 1000) < 10
+
+
+STATES = tuple(f"q{i}" for i in range(100))
+
+
+def deep_delta(n):
+    # Every delta entry of 100 states is one And/Or chain n levels deep,
+    # with an Atom at every level naming one of the first 20 states.
+    f = Atom("1", "q0")
+    for i in range(n):
+        f = (And if i % 2 else Or)((f, Atom("2", f"q{i % 20}")))
+    return dict.fromkeys(((q, c) for q in STATES for c in "01"), f)
+
+
+def deep_apta(delta):
+    return APTA(BINARY, STATES, "q0", delta, dict.fromkeys(STATES, 0))
+
+
+def test_apta_check_time_grows_linearly_in_formula_depth():
+    # A recursive walk of the parts grew 16 times from depth 75 to 300.
+    assert time_growth(deep_apta, deep_delta, 75) <= 8
+
+
+def test_acceptance_game_time_grows_linearly_in_formula_depth():
+    # Hashing a nested formula afresh at every position lookup grew the
+    # build 16 times from depth 75 to 300.
+    t = binary_tree(16)
+    assert time_growth(lambda a: acceptance_game(a, t), lambda n: deep_apta(deep_delta(n)), 75) <= 8
+
+
+def random_npta(n, seed=0):
+    # n states with two seeded transitions each and ranks 0..3; every state
+    # may also move to the accepting sink T, so the language is not empty.
+    rng = random.Random(seed)
+    states = tuple(f"q{i}" for i in range(n))
+    moves = [(q, rng.choice("01"), rng.choice(states), rng.choice(states))
+             for q in states for _ in range(2)]
+    moves += [(q, "1", "T", "T") for q in states] + [("T", "0", "T", "T")]
+    rank = {q: rng.randint(0, 3) for q in states}
+    return NPTA(BINARY, states + ("T",), "q0", tuple(moves), dict(rank, T=0))
+
+
+def test_witness_time_grows_linearly_in_the_automaton():
+    assert time_growth(witness, random_npta, 1000) < 10
+
+
+def test_tree_load_time_grows_linearly_on_both_paths():
+    def checked(n):
+        # A dict subclass passes every field check but not the bulk path's.
+        doc = tree_to_json(binary_tree(n))
+        doc["nodes"][0] = OrderedDict(doc["nodes"][0])
+        return doc
+
+    assert time_growth(tree_from_json, lambda n: tree_to_json(binary_tree(n)), 6000) < 10
+    assert time_growth(tree_from_json, checked, 6000) < 10
+
+
+def test_game_of_tree_time_grows_linearly():
+    assert time_growth(game_of_tree, lambda n: binary_tree(n, alphabet=GAME_ALPHABET), 16000) < 10
+
+
+def test_named_game_text_parse_time_grows_linearly():
+    # Names send a text to the line loop.
+    def named(n):
+        g = peel_chain(n)
+        names = [f"p{i}" for i in range(n)]
+        return game_to_text(ParityGame(names, dict(zip(names, g.owners)),
+                                       dict(zip(names, g.prios)),
+                                       {v: [names[j] for j in s] for v, s in zip(names, g.succs)}))
+
+    assert time_growth(game_from_text, named, 2000) < 10
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: verify_strategy is quadratic "
