@@ -143,14 +143,18 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
     Eve owns state positions and picks a transition; Adam owns transition
     positions and picks a direction.  Both carry the source state's rank, so
     plays mirror run branches.  A state position without a matching
-    transition is an Eve dead end, which is a loss for Eve.
+    transition is an Eve dead end, which is a loss for Eve.  A state
+    position with exactly one matching transition is that transition's
+    Adam position, under its own name: Eve would only pass the play on at
+    the same rank, so no verdict changes.
 
     The game is built on int keys over the N generator nodes in
     breadth-first order, the root being node 0: the position of state q at
     node v has key q·N + v, and the block of transition positions it moves
-    to has key |Q|·N + q·N + v, states numbered in the automaton's order.
-    Ids are handed out in breadth-first discovery order, and the names
-    ("s", q, v) and ("t", transition, v) are made only when read.
+    to, when it has not exactly one, has key |Q|·N + q·N + v, states
+    numbered in the automaton's order.  Ids are handed out in breadth-first
+    discovery order, and the names ("s", q, v) and ("t", transition, v)
+    are made only when read.
     """
     _check_tree_alphabet(a, t)
     states, trans, nodes = a.states, a.transitions, t.nodes
@@ -181,13 +185,15 @@ def membership_game(a: NPTA, t: RegularTree) -> ParityGame:
         q, v = divmod(key, n)
         if q < m:
             block = moves[q][labels[v]]
-            owners.append(EVE)
-            prios.append(rank[q])
-            succs.append(tuple(range(count, count + len(block))))
-            count += len(block)
-            queue.append(key + m * n)
-            continue
-        q -= m
+            if len(block) != 1:
+                owners.append(EVE)
+                prios.append(rank[q])
+                succs.append(tuple(range(count, count + len(block))))
+                count += len(block)
+                queue.append(key + m * n)
+                continue
+        else:
+            q -= m
         left, right = lefts[v], rights[v]
         for k in moves[q][labels[v]]:
             w = to_left[k] + left
@@ -381,8 +387,17 @@ class _Junction(Formula):
     def __hash__(self):
         # Kept, as acceptance_game hashes a position ("f", q, v, f) at every
         # lookup; __reduce__ leaves it out of pickles, for other hash seeds.
+        # The first call hashes the nested junctions not yet hashed before
+        # their parents, by an explicit stack, so it recurses at no depth.
         if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash(self.parts))
+            todo = [self]
+            while todo:
+                f = todo.pop()
+                new = [p for p in f.parts if isinstance(p, _Junction) and "_hash" not in p.__dict__]
+                if new:
+                    todo += f, *new
+                else:
+                    object.__setattr__(f, "_hash", hash(f.parts))
         return self._hash
 
     def __reduce__(self):
@@ -432,23 +447,30 @@ class APTA:
 
 
 def acceptance_game(a: APTA, t: RegularTree) -> ParityGame:
-    """Eve resolves disjunctions, Adam conjunctions.  A state position
-    ("s", q, v) plays delta(q, label(v)) itself, and an Atom moves straight
-    to the child's state position; only a nested And or Or gets a position
-    ("f", q, v, f) of its own.  TRUE, the empty And, strands Adam and FALSE,
-    the empty Or, strands Eve, so they are winning and losing sinks for
-    Eve.  Every position carries the rank of its governing state."""
+    """Eve resolves disjunctions, Adam conjunctions.  A junction with one
+    part is that part.  A state position ("s", q, v) plays delta(q,
+    label(v)) itself, and an Atom moves straight to the child's state
+    position; only a nested And or Or of two or more parts, or none, gets
+    a position ("f", q, v, f) of its own.  TRUE, the empty And, strands
+    Adam and FALSE, the empty Or, strands Eve, so they are winning and
+    losing sinks for Eve.  Every position carries the rank of its
+    governing state."""
     _check_tree_alphabet(a, t)
     rank, delta, label = a.rank, a.delta, t.label
     child = {"1": t.left, "2": t.right}
 
+    def played(f):
+        while isinstance(f, _Junction) and len(f.parts) == 1:
+            f = f.parts[0]
+        return f
+
     def expand(pos):
         q, v = pos[1], pos[2]
-        f = delta[q, label[v]] if pos[0] == "s" else pos[3]
+        f = played(delta[q, label[v]]) if pos[0] == "s" else pos[3]
         if isinstance(f, Atom):
             owner, parts = EVE, (f,)
         else:
-            owner, parts = (EVE if isinstance(f, Or) else ADAM), f.parts
+            owner, parts = (EVE if isinstance(f, Or) else ADAM), map(played, f.parts)
         return owner, rank[q], [("s", p.state, child[p.direction][v]) if isinstance(p, Atom)
                                 else ("f", q, v, p) for p in parts]
 
@@ -463,7 +485,8 @@ def member_alt(a: APTA, t: RegularTree) -> bool:
 def npta_to_apta(a: NPTA) -> APTA:
     """Alternation-free embedding: each transition set becomes a disjunction
     of And(Atom('1', left), Atom('2', right)).  Its acceptance game is a's
-    membership_game up to position names."""
+    membership_game up to position names: a disjunction of one transition
+    is that transition's And, as a state with one transition plays it."""
     table = transition_table(a)
     delta = {
         (q, letter): transition_formula(table, q, letter, lambda p, d: Atom(d, p))

@@ -495,13 +495,18 @@ def game_of_tree_by_explore(t: RegularTree) -> ParityGame:
 def membership_game_by_explore(a: NPTA, t: RegularTree) -> ParityGame:
     """Oracle for automata.membership_game: the game found by explore() on
     tuple names, ("s", state, node) for Eve's positions and
-    ("t", transition, node) for Adam's, from ("s", initial, root)."""
+    ("t", transition, node) for Adam's, from ("s", initial, root).  A
+    state position with exactly one transition on the node's letter is
+    that transition's Adam position, under its state name."""
     table = transition_table(a)
 
     def expand(pos):
         if pos[0] == "s":
             _, q, v = pos
-            return EVE, a.rank[q], [("t", tr, v) for tr in table.get((q, t.label[v]), ())]
+            block = table.get((q, t.label[v]), ())
+            if len(block) != 1:
+                return EVE, a.rank[q], [("t", tr, v) for tr in block]
+            pos = "t", block[0], v
         _, (q, _, l, r), v = pos
         return ADAM, a.rank[q], (("s", l, t.left[v]), ("s", r, t.right[v]))
 

@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from treegames import automata, gamelang
 from treegames.trees import RegularTree, constant_tree
-from treegames.games import EVE, _solve, explore, game_from_text, solve
+from treegames.games import ADAM, EVE, _solve, explore, game_from_text, solve
 from treegames.gamelang import _dual_game, game_of_tree, parity_lang_member
 from treegames.automata import (
     APTA,
@@ -280,6 +281,87 @@ def test_membership_game_matches_explore_oracle():
             members += 1
         dead_ends += not all(g.succs)
     assert dead_ends and members
+
+
+def test_membership_game_has_no_eve_position_with_one_move():
+    # A state with exactly one transition on its node's letter plays that
+    # transition itself, as Adam.  Eve keeps her dead ends and her real
+    # choices, and the verdict is the one of the game in which every state
+    # position is Eve's and moves to its transitions' positions.
+    rng = random.Random(416)
+    counts = Counter()
+    for trial in range(300):
+        alphabet = rng.choice((BINARY, GAME_ALPHABET))
+        a = random_npta(rng, alphabet, 5, 4, density=rng.random())
+        t = random_regular_tree(alphabet, 8, rng.randrange(10 ** 6))
+        table = transition_table(a)
+
+        def expand(pos):
+            if pos[0] == "s":
+                _, q, v = pos
+                return EVE, a.rank[q], [("t", tr, v) for tr in table.get((q, t.label[v]), ())]
+            _, (q, _, l, r), v = pos
+            return ADAM, a.rank[q], (("s", l, t.left[v]), ("s", r, t.right[v]))
+
+        g = membership_game(a, t)
+        for o, s, v in zip(g.owners, g.succs, g.positions):
+            assert o == ADAM or len(s) != 1, (trial, v)
+            counts[o, min(len(s), 2), v[0]] += 1
+        hops = explore(membership_start(a, t), expand)
+        assert member(a, t) == (0 in _solve(hops)[0][EVE]), trial
+    assert {(EVE, 0, "s"), (EVE, 2, "s"), (ADAM, 2, "s"), (ADAM, 2, "t")} <= set(counts)
+
+
+def test_membership_game_starts_at_its_start_name():
+    # Position 0 is named membership_start(a, t) whether the initial state
+    # has one transition at the root, and so is Adam's, or not; the run
+    # witness names its start so and checks out either way.
+    rng = random.Random(417)
+    starts = Counter()
+    pairs = [(builtin("M01"), all_zero()), (builtin("L"), all_one())]
+    for _ in range(300):
+        pairs.append((random_npta(rng, BINARY, 4, 3, density=rng.random()),
+                      random_regular_tree(BINARY, 6, rng.randrange(10 ** 6))))
+    for trial, (a, t) in enumerate(pairs):
+        g = membership_game(a, t)
+        one = len(transition_table(a).get((a.initial, t.label[t.root]), ())) == 1
+        assert g.positions[0] == membership_start(a, t) and g.index[membership_start(a, t)] == 0
+        assert g.owners[0] == (ADAM if one else EVE), trial
+        w = member_witness(a, t)
+        assert (w is not None) == member(a, t), trial
+        if w is not None:
+            assert w.check() and w.start == membership_start(a, t), trial
+        starts[one, w is not None] += 1
+    assert len(starts) == 4
+
+
+def test_deterministic_membership_game_is_adams_alone():
+    # M01 has exactly one transition per state and letter, so each reached
+    # (state, node) pair is one position, Adam's, and no transition has a
+    # position of its own.
+    a = builtin("M01")
+    table = transition_table(a)
+    rng = random.Random(418)
+    verdicts = set()
+    for trial in range(60):
+        t = random_regular_tree(BINARY, 5, rng.randrange(10 ** 6))
+        reached, todo = {(a.initial, t.root)}, [(a.initial, t.root)]
+        while todo:
+            q, v = todo.pop()
+            ((_, _, l, r),) = table[q, t.label[v]]
+            for w in ((l, t.left[v]), (r, t.right[v])):
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        g = membership_game(a, t)
+        assert set(g.owners) == {ADAM}, trial
+        assert len(g.positions) == len(reached), trial
+        assert set(g.positions) == {("s", q, v) for q, v in reached}, trial
+        verdict = member(a, t)
+        start_won = membership_start(a, t) in brute_force_solve(g).eve_region
+        assert verdict == det_member_oracle(a, t) == start_won, trial
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_membership_game_makes_names_only_when_read(monkeypatch):

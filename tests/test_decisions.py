@@ -22,6 +22,7 @@ from treegames.automata import (
     TRUE,
     And,
     Atom,
+    Or,
     acceptance_game,
     builtin,
     emptiness_game,
@@ -146,11 +147,20 @@ def test_acceptance_game_of_an_npta_is_its_membership_game():
 def test_acceptance_game_follows_its_definition():
     # A queue walk over the game's definition, on random alternating
     # automata whose formulas put an Atom, TRUE or FALSE at the top and
-    # TRUE or FALSE inside And and Or, and on the separator levels.
+    # TRUE or FALSE inside And and Or, and on the separator levels.  A
+    # junction with one part is that part, wherever it stands.
+    unwrapped = set()
+
+    def played(f):
+        if isinstance(f, (And, Or)) and len(f.parts) == 1:
+            unwrapped.add(type(f.parts[0]).__name__)
+            return played(f.parts[0])
+        return f
+
     def definition(a, t, pos):
         q, v = pos[1], pos[2]
-        f = a.delta[q, t.label[v]] if pos[0] == "s" else pos[3]
-        parts = [f] if isinstance(f, Atom) else list(f.parts)
+        f = played(a.delta[q, t.label[v]]) if pos[0] == "s" else pos[3]
+        parts = [f] if isinstance(f, Atom) else list(map(played, f.parts))
         moves = [("s", part.state, t.step(v, part.direction)) if isinstance(part, Atom)
                  else ("f", q, v, part) for part in parts]
         return (ADAM if isinstance(f, And) else EVE), a.rank[q], moves
@@ -185,10 +195,11 @@ def test_acceptance_game_follows_its_definition():
         assert g.prios == tuple(prio for _, prio, _ in labels), trial
         assert g.succs == tuple(tuple(index[w] for w in moves) for _, _, moves in labels), trial
         for v in order:
-            f = a.delta[v[1], t.label[v[2]]] if v[0] == "s" else v[3]
+            f = played(a.delta[v[1], t.label[v[2]]]) if v[0] == "s" else v[3]
             seen.add((v[0], {TRUE: "TRUE", FALSE: "FALSE"}.get(f, type(f).__name__)))
-    assert {("s", "Atom"), ("s", "TRUE"), ("s", "FALSE"), ("f", "TRUE"), ("f", "FALSE"),
-            ("f", "And"), ("f", "Or")} <= seen
+    assert {("s", "Atom"), ("s", "TRUE"), ("s", "FALSE"), ("s", "And"), ("s", "Or"),
+            ("f", "TRUE"), ("f", "FALSE"), ("f", "And"), ("f", "Or")} <= seen
+    assert unwrapped == {"Atom", "And", "Or"}
 
 
 def run_quietly(argv):

@@ -385,18 +385,26 @@ def test_explore_gives_ids_in_breadth_first_discovery_order():
 
     # Tuple-named positions, duplicate edges and Eve dead ends: membership
     # games of random automata on random trees, against a queue walk over
-    # the game's definition.
+    # the game's definition.  A state position with exactly one transition
+    # is that transition's Adam position.
     duplicates = dead_ends = 0
     for trial in range(200):
         a = random_npta(rng, BINARY, 3, 3, density=rng.choice((0.3, 0.7)))
         t = random_regular_tree(BINARY, 6, rng.randrange(10 ** 6))
         table = transition_table(a)
 
+        def transition(pos):
+            # The transition an Adam position plays, or None at Eve's.
+            if pos[0] == "t":
+                return pos[1]
+            block = table.get((pos[1], t.label[pos[2]]), ())
+            return block[0] if len(block) == 1 else None
+
         def moves(pos):
-            if pos[0] == "s":
-                _, q, v = pos
-                return [("t", tr, v) for tr in table.get((q, t.label[v]), ())]
-            _, (q, _, l, r), v = pos
+            tr, v = transition(pos), pos[2]
+            if tr is None:
+                return [("t", k, v) for k in table.get((pos[1], t.label[v]), ())]
+            _, _, l, r = tr
             return [("s", l, t.left[v]), ("s", r, t.right[v])]
 
         start = membership_start(a, t)
@@ -409,14 +417,14 @@ def test_explore_gives_ids_in_breadth_first_discovery_order():
         g = membership_game(a, t)
         # Made from its names source, the game equals and hashes like the
         # one the name-keyed constructor builds.
-        named = ParityGame(order, {v: EVE if v[0] == "s" else ADAM for v in order},
+        named = ParityGame(order, {v: EVE if transition(v) is None else ADAM for v in order},
                            {v: a.rank[v[1] if v[0] == "s" else v[1][0]] for v in order},
                            {v: moves(v) for v in order})
         assert "positions" not in vars(g) and g == named and hash(g) == hash(named), trial
         assert g.positions == tuple(order), trial
         assert list(g.index.items()) == [(v, i) for i, v in enumerate(order)], trial
         assert g.succs == tuple(tuple(order.index(w) for w in moves(v)) for v in order), trial
-        assert g.owners == tuple(EVE if v[0] == "s" else ADAM for v in order), trial
+        assert g.owners == tuple(EVE if transition(v) is None else ADAM for v in order), trial
         assert g.prios == tuple(a.rank[v[1] if v[0] == "s" else v[1][0]] for v in order), trial
         duplicates += any(len(set(s)) < len(s) for s in g.succs)
         dead_ends += not all(g.succs)

@@ -25,6 +25,7 @@ from treegames.automata import (
     acceptance_game,
     builtin,
     member,
+    member_alt,
     membership_game,
     witness,
 )
@@ -144,6 +145,20 @@ def test_acceptance_game_time_grows_linearly_in_formula_depth():
     # build 16 times from depth 75 to 300.
     t = binary_tree(16)
     assert time_growth(lambda a: acceptance_game(a, t), lambda n: deep_apta(deep_delta(n)), 75) <= 8
+
+
+def test_member_alt_plays_formulas_deeper_than_the_recursion_limit():
+    # The first hash of a formula hashed its nested parts by recursion, so
+    # member_alt raised RecursionError at about 450-600 And/Or levels.  Now
+    # it keeps the hash of every junction nested in a position's formula.
+    # Every rank is 0 and every play goes on forever, so Eve wins.
+    a = deep_apta(deep_delta(1000))
+    assert member_alt(a, binary_tree(4))
+    f, levels = a.delta["q0", "0"].parts[0], 1
+    while not isinstance(f, Atom):
+        assert "_hash" in vars(f)
+        f, levels = f.parts[0], levels + 1
+    assert levels == 1000
 
 
 def random_npta(n, seed=0):
